@@ -40,7 +40,7 @@ from .model import (
     canonical_path,
 )
 from .scaffold import DraftEntry
-from .validator import RefResolver
+from .validator import RefResolver, sans_ext
 
 _STATUS_RE = re.compile(r"^([AMD]|R\d*)$")
 
@@ -169,18 +169,20 @@ def plan_update(index: Index, changes: ChangeSet) -> UpdatePlan:
             else:
                 rename_map[rec.path] = rec.new_path or rec.path
 
+    remove_set = set(remove)
     rewrites: list[tuple[str, str, str]] = []
     if rename_map:
+        renamed_refs = _rename_lookup(rename_map)
         for entry in index.code_entries:
-            if entry.path in remove:
+            if entry.path in remove_set:
                 continue
             for ref in entry.r:
-                new_ref = _rewritten_ref(ref, rename_map)
+                new_ref = renamed_refs.get(ref)
                 if new_ref is not None and new_ref != ref:
                     rewrites.append((entry.path, ref, new_ref))
 
     regen_set = set(regenerate)
-    final_paths = (entry_paths - set(remove) - set(rename_map)) | set(
+    final_paths = (entry_paths - remove_set - set(rename_map)) | set(
         rename_map.values()
     ) | regen_set
     resolver = RefResolver(final_paths)
@@ -188,7 +190,7 @@ def plan_update(index: Index, changes: ChangeSet) -> UpdatePlan:
     rewritten = {(host, old): new for host, old, new in rewrites}
     dangling: list[tuple[str, str]] = []
     for entry in index.code_entries:
-        if entry.path in remove or entry.path in regen_set:
+        if entry.path in remove_set or entry.path in regen_set:
             continue  # removed, or about to be replaced by a draft
         final_host = rename_map.get(entry.path, entry.path)
         for ref in entry.r:
@@ -206,22 +208,28 @@ def plan_update(index: Index, changes: ChangeSet) -> UpdatePlan:
     )
 
 
-def _rewritten_ref(ref: str, rename_map: dict[str, str]) -> str | None:
-    """New reference text after renames, or None when the ref is untouched.
+def _rename_lookup(rename_map: dict[str, str]) -> dict[str, str]:
+    """Map each reference text a rename touches to its new text.
 
-    Only references that denote the renamed file itself are rewritten: an
-    exact path match, or a sans-extension match. A directory-prefix
-    reference names the directory, which a file rename does not move; if
-    every file under it goes away, the dangling check reports it instead.
+    Only references that denote the renamed file itself are rewritten: the
+    exact old path maps to the new path, and the old path without its
+    extension maps to the new path without its extension (or to the whole
+    new path when that has none). A directory-prefix reference names the
+    directory, which a file rename does not move; if every file under it
+    goes away, the dangling check reports it instead.
+
+    When several renames claim the same reference text, the first in
+    ``rename_map`` order wins, and within one rename the exact path is
+    claimed before the extension-less key.
     """
+    lookup: dict[str, str] = {}
     for old, new in rename_map.items():
-        if ref == old:
-            return new
-        base = old.rsplit("/", 1)[-1]
-        if "." in base and old[: old.rindex(".")] == ref:
-            new_base = new.rsplit("/", 1)[-1]
-            return new[: new.rindex(".")] if "." in new_base else new
-    return None
+        lookup.setdefault(old, new)
+        stem = sans_ext(old)
+        if stem is not None:
+            new_stem = sans_ext(new)
+            lookup.setdefault(stem, new if new_stem is None else new_stem)
+    return lookup
 
 
 class StalenessStore:

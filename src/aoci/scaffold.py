@@ -62,7 +62,8 @@ from .model import (
     TagDictionary,
     canonical_path,
 )
-from .validator import DEFAULT_BUDGETS, RefResolver, budget_for, resolves_to
+# resolves_to is unused here; perfbench/spans.py patches aoci.scaffold.resolves_to by name.
+from .validator import DEFAULT_BUDGETS, RefResolver, budget_for, resolves_to  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -490,7 +491,7 @@ def scaffold_repo(
             continue
         relations[item.path] = extract_relations(item.path, data, resolver, patterns)
 
-    fan_in = _fan_in_counts(paths, relations)
+    fan_in = _fan_in_counts(paths, relations, resolver)
     ranking = sorted(paths, key=lambda p: (-fan_in[p], p))
     quantile = {path: rank / len(ranking) for rank, path in enumerate(ranking)}
 
@@ -510,15 +511,16 @@ def scaffold_repo(
     return ScaffoldResult(index=index, drafts=tuple(drafts), warnings=warnings)
 
 
-def _fan_in_counts(paths: list[str], relations: dict[str, list[str]]) -> dict[str, int]:
+def _fan_in_counts(
+    paths: list[str], relations: dict[str, list[str]], resolver: RefResolver
+) -> dict[str, int]:
+    """How many other files reference each path, counting a file once per
+    referencing file however many of its references denote it."""
     counts = {path: 0 for path in paths}
-    target_cache: dict[str, list[str]] = {}
     for source, refs in relations.items():
         touched: set[str] = set()
         for ref in refs:
-            if ref not in target_cache:
-                target_cache[ref] = [p for p in paths if resolves_to(ref, p)]
-            touched.update(target_cache[ref])
+            touched.update(resolver.targets(ref))
         touched.discard(source)
         for target in touched:
             counts[target] += 1

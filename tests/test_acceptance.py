@@ -36,7 +36,7 @@ from aoci.grammar import (
 )
 from aoci.incremental import apply_update, plan_update
 from aoci.metrics import estimate_tokens, score_what, score_where
-from aoci.model import ChangeRecord, ChangeSet, ChangeStatus, Index
+from aoci.model import ChangeRecord, ChangeSet, ChangeStatus, CodeEntry, Header, Index
 from aoci.scaffold import ScaffoldRules, scaffold_repo
 from aoci.validator import check_coverage, has_errors, validate_index
 
@@ -329,3 +329,74 @@ def test_criterion_9_fuzz_robustness(listing_text):
         f"criterion 9 PASS: 10,000 fuzz inputs, {rejected} located rejections, "
         f"no crash ({elapsed:.2f}s)"
     )
+
+
+def test_scale_10k_file_scaffold(tmp_path):
+    """A 10,000-file scaffold finishes in seconds: fan-in resolves each
+    reference by bisecting the sorted paths instead of scanning them all."""
+    n, packages = 10_000, 100
+    repo = tmp_path / "repo10k"
+    for d in range(packages):
+        (repo / f"pkg{d:02d}").mkdir(parents=True)
+    # File i lives in package i % 100 and imports one package and one file.
+    imports = [((i * 7 + 13) % packages, (i * 31 + 5) % n) for i in range(n)]
+    for i, (package, module) in enumerate(imports):
+        body = (
+            f"package pkg{i % packages:02d}\n"
+            f'import "app/pkg{package:02d}"\n'
+            f'import "app/pkg{module % packages:02d}/mod{module}"\n'
+        )
+        (repo / f"pkg{i % packages:02d}" / f"mod{i}.go").write_text(body, encoding="utf-8")
+    rules = ScaffoldRules(layer_rules=(("pkg*", "S"),), module_rules=(("*", "C"),))
+
+    budget = _Budget(10.0)
+    result = scaffold_repo(repo, rules)
+    elapsed = budget.check()
+    assert len(result.index.code_entries) == n
+    fan_in = [0] * n
+    for i, (package, module) in enumerate(imports):
+        hit = set(range(package, n, packages)) | {module}
+        hit.discard(i)
+        for j in hit:
+            fan_in[j] += 1
+    drafts = {draft.entry.path: draft for draft in result.drafts}
+    assert [drafts[f"pkg{j % packages:02d}/mod{j}.go"].fan_in for j in range(n)] == fan_in
+    assert drafts["pkg00/mod0.go"].entry.r == ("pkg13", "pkg05/mod5")
+    print(f"scale PASS: 10,000-file scaffold in {elapsed:.2f}s")
+
+
+def test_scale_plan_400_renames_over_20k_entries():
+    """Rename planning is linear in the number of references."""
+    n = 20_000
+    paths = [f"pkg{i // 10}/mod{i}.go" for i in range(n)]
+    entries = tuple(
+        CodeEntry(
+            path=path,
+            tag=None,
+            decoded=None,
+            f="TODO",
+            r=(paths[(i + 1) % n], paths[(i + 2) % n][: -len(".go")]),
+            a="",
+            s="TODO",
+        )
+        for i, path in enumerate(paths)
+    )
+    index = Index(Header(), entries)
+    renamed = range(0, n, n // 400)
+    changes = ChangeSet(
+        tuple(
+            ChangeRecord(ChangeStatus.RENAMED, paths[j], paths[j].replace(".go", "_r.go"))
+            for j in renamed
+        )
+    )
+
+    budget = _Budget(2.0)
+    plan = plan_update(index, changes)
+    elapsed = budget.check()
+    # Each renamed file is named once exactly and once without its extension.
+    assert len(plan.ref_rewrites) == 800
+    assert set(plan.ref_rewrites) == {
+        (paths[(j - 1) % n], paths[j], paths[j].replace(".go", "_r.go")) for j in renamed
+    } | {(paths[(j - 2) % n], paths[j][:-3], paths[j][:-3] + "_r") for j in renamed}
+    assert plan.dangling_after == ()
+    print(f"scale PASS: 400 renames over 20,000 entries planned in {elapsed:.2f}s")

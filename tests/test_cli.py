@@ -339,3 +339,29 @@ def test_check_reads_stdin(monkeypatch, capsys):
     data = GOLDEN.read_bytes()
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     assert run(["check", "-"]) == 0
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import aoci
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aoci.__file__)))
+    clean = subprocess.run(
+        [sys.executable, "-m", "aoci", "check", str(GOLDEN)],
+        capture_output=True, text=True, env=env,
+    )
+    assert (clean.returncode, clean.stdout, clean.stderr) == (0, "", "")
+    broken = tmp_path / "bad.aoci"
+    broken.write_text(
+        GOLDEN.read_text(encoding="utf-8").replace("R:model/org", "R:missing/ref"),
+        encoding="utf-8",
+    )
+    failed = subprocess.run(
+        [sys.executable, "-m", "aoci", "check", str(broken)],
+        capture_output=True, text=True, env=env,
+    )
+    assert failed.returncode == 1
+    assert "E2" in failed.stdout
