@@ -26,7 +26,6 @@ from .grammar import (
     ParseError,
     ParseErrorKind,
     ParseReport,
-    SourceSpan,
     decode_table_tag,
     decode_tag,
     encode_table_tag,

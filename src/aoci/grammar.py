@@ -29,6 +29,12 @@ spaces after commas in R, and a single trailing newline; ``serialize_index``
 followed by ``parse_index`` is the identity on valid indexes. The parser is
 tolerant of extra whitespace so that non-canonical files can be reformatted,
 and in lenient mode collects located errors instead of stopping at the first.
+Errors carry the line and column; the parse keeps no other position data.
+
+Each line is checked once. ``decode_tag`` memoises on the dictionary, so a
+parse decodes each distinct tag once, and ``Index`` accepts the parser's
+memoised decodings without decoding them again. Header codes and labels go
+through the same ``model`` checks that ``TagDictionary`` applies.
 """
 
 from __future__ import annotations
@@ -56,13 +62,15 @@ from .model import (
     Index,
     TableEntry,
     TagDictionary,
+    check_code,
+    check_label,
 )
 
 _DIGITS = set("0123456789")
 
 _ENTRY_RE = re.compile(r"^([^\[\]:]+?)(?:\[([^\[\]]*)\])?\s*:\s?(.*)$")
 
-_ELEMENT_ORDER = ("F", "R", "A", "S")
+_ELEMENT_PREFIXES = ("F:", "R:", "A:", "S:")
 
 
 class ParseErrorKind(Enum):
@@ -89,27 +97,12 @@ class ParseError(AociError):
         super().__init__(f"line {self.line_number}, column {self.column}: {message}")
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """Byte offsets of one entry's line within the source document."""
-
-    subject: str
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if self.start < 0 or self.start >= self.end:
-            raise InvariantError(f"bad span for {self.subject}: {self.start}..{self.end}")
-
-
 @dataclass
 class ParseReport:
     """Outcome of a lenient parse: best-effort index plus every error found."""
 
     index: Index | None
     errors: list[ParseError] = field(default_factory=list)
-    code_spans: dict[str, SourceSpan] = field(default_factory=dict)
-    table_spans: dict[str, SourceSpan] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -124,6 +117,9 @@ class ParseReport:
 def decode_tag(tag: str, dictionary: TagDictionary) -> DecodedTag:
     """Decompose a concatenated tag against ``dictionary``.
 
+    Each distinct tag is decoded once per dictionary: a repeated call returns
+    the same ``DecodedTag`` object. A tag that fails raises on every call.
+
     The single importance digit anchors the split. The prefix is consumed as
     the longest-matching layer code plus a remainder that must be exactly one
     module code. The suffix is tried with the longest scale code anchored at
@@ -135,6 +131,14 @@ def decode_tag(tag: str, dictionary: TagDictionary) -> DecodedTag:
         InvalidImportance: digit outside the dictionary's importance set.
         UnknownCode: prefix or suffix residue that matches no code.
     """
+    memo = dictionary._decode_memo
+    decoded = memo.get(tag)
+    if decoded is None:
+        decoded = memo[tag] = _decode_tag(tag, dictionary)
+    return decoded
+
+
+def _decode_tag(tag: str, dictionary: TagDictionary) -> DecodedTag:
     if not tag:
         raise MalformedTag("empty tag")
     positions = [i for i, ch in enumerate(tag) if ch in _DIGITS]
@@ -360,7 +364,7 @@ def parse_index(text: str | bytes, *, lenient: bool = False) -> Index:
 
 
 def parse_index_report(text: str | bytes) -> ParseReport:
-    """Lenient parse returning the index, all errors, and entry spans."""
+    """Lenient parse returning the index and every located error."""
     return _parse(text, stop_on_error=False)
 
 
@@ -372,8 +376,6 @@ class _Parser:
     def __init__(self, stop_on_error: bool):
         self.stop_on_error = stop_on_error
         self.errors: list[ParseError] = []
-        self.code_spans: dict[str, SourceSpan] = {}
-        self.table_spans: dict[str, SourceSpan] = {}
 
     def fail(self, line_no: int, column: int, kind: ParseErrorKind, message: str):
         self.errors.append(ParseError(line_no, column, kind, message))
@@ -403,7 +405,7 @@ def _parse(text: str | bytes, stop_on_error: bool) -> ParseReport:
         index = _parse_document(decoded, parser)
     except _Aborted:
         index = None
-    return ParseReport(index, parser.errors, parser.code_spans, parser.table_spans)
+    return ParseReport(index, parser.errors)
 
 
 class _HeaderBuilder:
@@ -456,11 +458,8 @@ def _parse_document(text: str, parser: _Parser) -> Index | None:
     seen_names: set[str] = set()
     section = "header"
     saw_marker = False
-    byte_pos = 0
 
     for line_no, raw_line in enumerate(lines, start=1):
-        line_start = byte_pos
-        byte_pos += len(raw_line.encode("utf-8")) + 1
         line = raw_line.rstrip("\r").strip()
         if not line:
             continue
@@ -522,9 +521,6 @@ def _parse_document(text: str, parser: _Parser) -> Index | None:
                 continue
             seen_paths.add(entry.path)
             entries.append(entry)
-            parser.code_spans[entry.path] = SourceSpan(
-                entry.path, line_start, line_start + len(raw_line.encode("utf-8"))
-            )
         else:
             table = _parse_table_line(line, line_no, header.dictionary, parser)
             if table is None:
@@ -539,9 +535,6 @@ def _parse_document(text: str, parser: _Parser) -> Index | None:
                 continue
             seen_names.add(table.name)
             tables.append(table)
-            parser.table_spans[table.name] = SourceSpan(
-                table.name, line_start, line_start + len(raw_line.encode("utf-8"))
-            )
 
     if not saw_marker:
         parser.fail(
@@ -676,7 +669,10 @@ def _parse_code_map(
             )
             continue
         try:
-            TagDictionary(dim_a={code: label})
+            # The checks TagDictionary applies. They run under the name "A"
+            # so the message text stays "dimension D: dimension A: ...".
+            check_code("A", code)
+            check_label("A", label)
         except InvariantError as exc:
             parser.fail(line_no, 1, ParseErrorKind.INVALID_DICTIONARY, f"dimension {name}: {exc}")
             continue
@@ -755,7 +751,7 @@ def _parse_code_line(
     path_text, tag_text, rest = match.group(1).strip(), match.group(2), match.group(3)
 
     parts = [part.strip() for part in rest.split("|")]
-    if len(parts) != len(_ELEMENT_ORDER):
+    if len(parts) != len(_ELEMENT_PREFIXES):
         column = max(1, min(len(line), len(line) - len(rest) + 1))
         parser.fail(
             line_no,
@@ -764,24 +760,24 @@ def _parse_code_line(
             f"expected four |-separated elements, found {len(parts)}",
         )
         return None
-    values: dict[str, str] = {}
-    for want, part in zip(_ELEMENT_ORDER, parts):
-        if not part.startswith(f"{want}:"):
+    values = []
+    for position, (prefix, part) in enumerate(zip(_ELEMENT_PREFIXES, parts), start=1):
+        if not part.startswith(prefix):
             parser.fail(
                 line_no,
                 1,
                 ParseErrorKind.MALFORMED_ENTRY,
-                f"expected element {want}: in position {_ELEMENT_ORDER.index(want) + 1}, "
-                f"got {part[:20]!r}",
+                f"expected element {prefix} in position {position}, got {part[:20]!r}",
             )
             return None
-        values[want] = part[2:].strip()
+        value = part[2:].strip()
+        values.append("" if value == EMPTY_SENTINEL else value)
+    f_text, r_text, a_text, s_text = values
 
     refs: tuple[str, ...] = ()
-    r_text = values["R"]
-    if r_text not in ("", EMPTY_SENTINEL):
+    if r_text:
         pieces = [piece.strip() for piece in r_text.split(",")]
-        if any(not piece for piece in pieces):
+        if not all(pieces):
             parser.fail(
                 line_no, 1, ParseErrorKind.MALFORMED_ENTRY, f"empty reference in R element {r_text!r}"
             )
@@ -803,19 +799,9 @@ def _parse_code_line(
             # ablation; it stays attached without a decoding.
             decoded = None
 
-    def element(name: str) -> str:
-        value = values[name]
-        return "" if value == EMPTY_SENTINEL else value
-
     try:
         return CodeEntry(
-            path=path_text,
-            tag=tag,
-            decoded=decoded,
-            f=element("F"),
-            r=refs,
-            a=element("A"),
-            s=element("S"),
+            path=path_text, tag=tag, decoded=decoded, f=f_text, r=refs, a=a_text, s=s_text
         )
     except (InvariantError, InvalidPath) as exc:
         parser.fail(line_no, 1, ParseErrorKind.MALFORMED_ENTRY, str(exc))

@@ -12,6 +12,7 @@ point and is idempotent.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -30,9 +31,14 @@ EMPTY_SENTINEL = "-"
 _CODE_FORBIDDEN = set("[]-|:,=+\"'")
 
 # Characters a path may not contain, or entry lines stop being parseable:
-# the bracket/colon head syntax, the element separator, and the comma that
-# separates R references.
-_PATH_FORBIDDEN = set("[]|:,")
+# the bracket/colon head syntax, the element separator, the comma that
+# separates R references, and whitespace. ``\s`` matches exactly the
+# characters for which ``str.isspace`` is true.
+_PATH_FORBIDDEN = re.compile(r"[\[\]|:,\s]")
+
+# Characters an R reference may not contain: the element separator, the
+# reference separator, and whitespace.
+_REF_FORBIDDEN = re.compile(r"[|,\s]")
 
 
 def canonical_path(raw: str) -> str:
@@ -55,25 +61,32 @@ def canonical_path(raw: str) -> str:
 
 def _check_path(path: str) -> str:
     path = canonical_path(path)
-    bad = {c for c in path if c in _PATH_FORBIDDEN or c.isspace()}
-    if bad:
+    if _PATH_FORBIDDEN.search(path):
         raise InvariantError(
             f"path {path!r} contains characters the entry grammar reserves: "
-            f"{sorted(bad)}"
+            f"{sorted(set(_PATH_FORBIDDEN.findall(path)))}"
         )
     return path
 
 
-def _check_codes(dimension: str, codes) -> None:
-    for code in codes:
-        if not code:
-            raise InvariantError(f"dimension {dimension}: empty code")
-        for ch in code:
-            if ch.isdigit() or ch.isspace() or ch in _CODE_FORBIDDEN or ch in "\r\n":
-                raise InvariantError(
-                    f"dimension {dimension}: code {code!r} contains "
-                    f"reserved character {ch!r}"
-                )
+def check_code(dimension: str, code: str) -> None:
+    """Raise InvariantError unless ``code`` is a usable dictionary code."""
+    if not code:
+        raise InvariantError(f"dimension {dimension}: empty code")
+    for ch in code:
+        if ch.isdigit() or ch.isspace() or ch in _CODE_FORBIDDEN or ch in "\r\n":
+            raise InvariantError(
+                f"dimension {dimension}: code {code!r} contains "
+                f"reserved character {ch!r}"
+            )
+
+
+def check_label(dimension: str, label: str) -> None:
+    """Raise InvariantError unless ``label`` fits on a header directive line."""
+    if "," in label or "\n" in label or "\r" in label:
+        raise InvariantError(
+            f"dimension {dimension}: label {label!r} contains ',' or a line break"
+        )
 
 
 def _check_text(label: str, value: str) -> None:
@@ -98,6 +111,13 @@ class TagDictionary:
     the fixed scale 9/8/7/5/3/1. The four ``table_*`` maps are the table tag
     dimensions. ``budgets`` maps an importance digit to a (min, max) token
     allowance for the entry's semantic elements.
+
+    The dictionary also memoises ``grammar.decode_tag``: each distinct tag is
+    decoded once per dictionary, and repeated decodes return the same
+    ``DecodedTag`` object. Failures are not memoised. The memo takes no part
+    in equality or ``repr``, and ``dataclasses.replace`` starts a new one. It
+    relies on one invariant: the code maps are never mutated after
+    construction.
     """
 
     dim_a: dict[str, str] = field(default_factory=dict)
@@ -110,6 +130,9 @@ class TagDictionary:
     table_scale: dict[str, str] = field(default_factory=dict)
     table_feat: dict[str, str] = field(default_factory=dict)
     budgets: dict[int, tuple[int, int]] = field(default_factory=dict)
+    _decode_memo: dict[str, DecodedTag] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "dim_c", frozenset(self.dim_c))
@@ -122,12 +145,10 @@ class TagDictionary:
         if len(self.dim_e) > 4:
             raise InvariantError("dim_e allows at most four scale levels")
         for name, mapping in self.code_dimensions() + self.table_dimensions():
-            _check_codes(name, mapping)
+            for code in mapping:
+                check_code(name, code)
             for label in mapping.values():
-                if "," in label or "\n" in label or "\r" in label:
-                    raise InvariantError(
-                        f"dimension {name}: label {label!r} contains ',' or a line break"
-                    )
+                check_label(name, label)
         budgets = {}
         for level, bounds in self.budgets.items():
             lo, hi = bounds
@@ -240,7 +261,7 @@ class CodeEntry:
                 raise InvariantError(f"{self.path}: empty R reference")
             if ref == EMPTY_SENTINEL:
                 raise InvariantError(f"{self.path}: R reference may not be '-'")
-            if "|" in ref or "," in ref or any(c.isspace() for c in ref):
+            if _REF_FORBIDDEN.search(ref):
                 raise InvariantError(
                     f"{self.path}: R reference {ref!r} contains whitespace, '|' or ','"
                 )
@@ -351,8 +372,11 @@ class Index:
             if entry.tag is None:
                 continue
             if entry.decoded is not None:
-                redecoded = decode_tag(entry.tag, dictionary)
-                if redecoded != entry.decoded:
+                # A decoding that is the dictionary's own memoised one (as
+                # every parsed entry's is) needs no second decode.
+                if dictionary._decode_memo.get(entry.tag) is entry.decoded:
+                    continue
+                if decode_tag(entry.tag, dictionary) != entry.decoded:
                     raise InvariantError(
                         f"{entry.path}: attached decoding does not match tag "
                         f"{entry.tag!r} under the header dictionary"

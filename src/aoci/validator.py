@@ -1,19 +1,17 @@
 """Consistency checks for an index: rule catalog, coverage reporting.
 
 Rule catalog
-    E1  duplicate entry path or table name
     E2  R reference resolves to no code entry
-    E3  tag code missing from the header dictionary
-    E4  importance digit outside the 9/8/7/5/3/1 scale
     W1  semantic elements outside the token budget for the importance level
     W2  dictionary dimension is not prefix-free
     W3  empty F element on an entry of importance 7 or higher
     W4  R reference resolves only to a database table
 
-E1, E3 and E4 cannot fire on an index built through the normal constructors,
-which enforce those invariants; they are re-checked here so hand-built or
-mutated data still gets a diagnosis. Budget violations are warnings because
-budgets guide generation, they do not make an index invalid.
+Duplicate paths and names, tag codes missing from the dictionary and
+importance digits off the scale have no rules here: the ``Index`` and
+``DecodedTag`` constructors reject them, and the parser reports them as
+located parse errors. Budget violations are warnings because budgets guide
+generation, they do not make an index invalid.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from typing import Iterable
 
 from .errors import ConfigError
 from .metrics import DEFAULT_ESTIMATOR, TokenEstimator
-from .model import IMPORTANCE_SCALE, Index, TagDictionary, canonical_path
+from .model import Index, TagDictionary, canonical_path
 
 #: Budgets applied when the header carries no #BUDGET directive. The 9 row
 #: and the 20-40 floor are protocol constants; the intermediate rows are
@@ -41,10 +39,7 @@ DEFAULT_BUDGETS: dict[int, tuple[int, int]] = {
 }
 
 RULES: dict[str, str] = {
-    "E1": "duplicate entry path or table name",
     "E2": "R reference resolves to no code entry",
-    "E3": "tag code missing from the header dictionary",
-    "E4": "importance digit outside the allowed scale",
     "W1": "semantic elements outside the token budget",
     "W2": "dictionary dimension is not prefix-free",
     "W3": "empty F element on a high-importance entry",
@@ -168,22 +163,7 @@ def validate_index(
     issues: list[ValidationIssue] = []
     dictionary = index.header.dictionary
 
-    seen_paths: set[str] = set()
-    for entry in index.code_entries:
-        if entry.path in seen_paths:
-            issues.append(
-                ValidationIssue(Severity.ERROR, "E1", entry.path, "duplicate entry path")
-            )
-        seen_paths.add(entry.path)
-    seen_names: set[str] = set()
-    for table in index.table_entries:
-        if table.name in seen_names:
-            issues.append(
-                ValidationIssue(Severity.ERROR, "E1", table.name, "duplicate table name")
-            )
-        seen_names.add(table.name)
-
-    resolver = RefResolver(seen_paths)
+    resolver = RefResolver(index.code_paths())
     table_names = index.table_names()
     for entry in index.code_entries:
         for ref in entry.r:
@@ -212,38 +192,6 @@ def validate_index(
         if entry.decoded is None:
             continue
         tag = entry.decoded
-        for code, mapping, dim in (
-            (tag.layer, dictionary.dim_a, "A"),
-            (tag.module, dictionary.dim_b, "B"),
-            *((feat, dictionary.dim_d, "D") for feat in tag.features),
-        ):
-            if code not in mapping:
-                issues.append(
-                    ValidationIssue(
-                        Severity.ERROR,
-                        "E3",
-                        entry.path,
-                        f"code {code!r} missing from dimension {dim}",
-                    )
-                )
-        if tag.scale is not None and tag.scale not in dictionary.dim_e:
-            issues.append(
-                ValidationIssue(
-                    Severity.ERROR,
-                    "E3",
-                    entry.path,
-                    f"code {tag.scale!r} missing from dimension E",
-                )
-            )
-        if tag.importance not in IMPORTANCE_SCALE:
-            issues.append(
-                ValidationIssue(
-                    Severity.ERROR,
-                    "E4",
-                    entry.path,
-                    f"importance {tag.importance} outside the allowed scale",
-                )
-            )
         tokens = estimator.estimate(serialize_semantic_elements(entry))
         lo, hi = budget_for(dictionary, tag.importance)
         if not lo <= tokens <= hi:

@@ -36,7 +36,15 @@ from aoci.grammar import (
 )
 from aoci.incremental import apply_update, plan_update
 from aoci.metrics import estimate_tokens, score_what, score_where
-from aoci.model import ChangeRecord, ChangeSet, ChangeStatus, CodeEntry, Header, Index
+from aoci.model import (
+    ChangeRecord,
+    ChangeSet,
+    ChangeStatus,
+    CodeEntry,
+    DecodedTag,
+    Header,
+    Index,
+)
 from aoci.scaffold import ScaffoldRules, scaffold_repo
 from aoci.validator import check_coverage, has_errors, validate_index
 
@@ -400,3 +408,46 @@ def test_scale_plan_400_renames_over_20k_entries():
     } | {(paths[(j - 2) % n], paths[j][:-3], paths[j][:-3] + "_r") for j in renamed}
     assert plan.dangling_after == ()
     print(f"scale PASS: 400 renames over 20,000 entries planned in {elapsed:.2f}s")
+
+
+def test_scale_parse_20k_entries(monkeypatch):
+    """A 20,000-entry index parses and validates in about a second: each
+    distinct tag is decoded once, and Index does not decode it again."""
+    n = 20_000
+    rng = random.Random(20_000)
+    dictionary = make_reference_dictionary()
+    # Half the tags repeat an earlier one, as in a real index where many
+    # files share a layer, module and importance.
+    tags = [encode_tag(make_decoded(rng, dictionary, with_scale=True)) for _ in range(n // 2)]
+    tags += [rng.choice(tags) for _ in range(n - len(tags))]
+    paths = [f"pkg{i // 20}/mod{i}.go" for i in range(n)]
+    lines = [serialize_index(Index(Header(project="scale", dictionary=dictionary))).rstrip("\n")]
+    for i, path in enumerate(paths):
+        refs = ",".join((paths[(i * 7 + 1) % n], f"pkg{(i * 3) % (n // 20)}"))
+        lines.append(
+            f"{path}[{tags[i]}]: F:module {i} role | R:{refs} | A:Run{i},Stop{i} | "
+            f"S:{' '.join(rng.choice(('cache', 'queue', 'retry', 'merge')) for _ in range(30))}"
+        )
+    text = "\n".join(lines) + "\n"
+
+    constructed = 0
+    post_init = DecodedTag.__post_init__
+
+    def counting_post_init(self):
+        nonlocal constructed
+        constructed += 1
+        post_init(self)
+
+    monkeypatch.setattr(DecodedTag, "__post_init__", counting_post_init)
+    budget = _Budget(2.5)
+    index = parse_index(text)
+    issues = validate_index(index)
+    elapsed = budget.check()
+    assert len(index.code_entries) == n
+    assert constructed <= len(set(tags))
+    assert not has_errors(issues)
+    assert [entry.tag for entry in index.code_entries] == tags
+    print(
+        f"scale PASS: 20,000 entries ({len(set(tags))} distinct tags) parsed and "
+        f"validated in {elapsed:.2f}s"
+    )

@@ -56,6 +56,22 @@ def test_check_parse_error_lenient_vs_strict(tmp_path, capsys):
     assert run(["check", "--strict", str(target)]) == 1
 
 
+def test_check_reports_duplicates_and_unknown_codes_as_located_parse_errors(tmp_path, capsys):
+    lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+    assert lines[17].startswith("config.yaml[CC9T]:") and lines[19].startswith("model/org/org.go")
+    lines[17] = lines[17].replace("[CC9T]", "[CX9T]", 1)
+    lines.insert(22, lines[19])
+    target = tmp_path / "dup.aoci"
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["check", str(target)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0] == f"error parse {target}: line 18, column 13: tag 'CX9T': no B code matches 'X'"
+    assert err[1] == (
+        f"error parse {target}: line 23, column 1: duplicate code entry path 'model/org/org.go'"
+    )
+
+
 def test_check_coverage_output(tmp_path, capsys):
     files = tmp_path / "files.txt"
     files.write_text("auth.go\nconfig.yaml\nextra.go\n", encoding="utf-8")

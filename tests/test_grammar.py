@@ -314,6 +314,21 @@ def test_duplicate_dictionary_code():
     assert excinfo.value.kind is ParseErrorKind.INVALID_DICTIONARY
 
 
+@pytest.mark.parametrize(
+    "directive,message",
+    [
+        ("#DIM D J1=x", "dimension D: dimension A: code 'J1' contains reserved character '1'"),
+        ("#TDIM FEAT =x", "dimension FEAT: dimension A: empty code"),
+        ("#DIM A W=a\rb", "dimension A: dimension A: label 'a\\rb' contains ',' or a line break"),
+    ],
+)
+def test_bad_header_code_or_label_is_located_on_its_directive(directive, message):
+    report = parse_index_report(f"#AOCI 1\n{directive}\n@CODE\n")
+    assert [(e.line_number, e.kind, e.message) for e in report.errors] == [
+        (2, ParseErrorKind.INVALID_DICTIONARY, message)
+    ]
+
+
 def test_invalid_importance_level_in_header():
     with pytest.raises(ParseError):
         parse_index("#AOCI 1\n#DIM C 9,4\n@CODE\n")
@@ -325,15 +340,6 @@ def test_bad_utf8_is_located_parse_error():
         parse_index(data)
     assert excinfo.value.kind is ParseErrorKind.ENCODING
     assert excinfo.value.line_number == 3
-
-
-def test_spans_cover_entry_lines(listing_text):
-    report = parse_index_report(listing_text)
-    data = listing_text.encode("utf-8")
-    span = report.code_spans["auth.go"]
-    assert data[span.start : span.end].decode("utf-8").startswith("auth.go[WA9JM]:")
-    tspan = report.table_spans["users"]
-    assert data[tspan.start : tspan.end].decode("utf-8").startswith("users[U-M-M-GUID]:")
 
 
 @given(st.integers(0, 2**32))
