@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="parse and validate an index")
     p.add_argument("index")
     p.add_argument("--files", help="newline-delimited file list for coverage ('-' for stdin)")
-    p.add_argument("--strict", action="store_true", help="abort at the first parse error")
+    p.add_argument("--strict", action="store_true", help="report only the first parse error")
     p.add_argument("--report", help="write machine-readable issue records (JSON) here")
     p.set_defaults(handler=_cmd_check)
 
@@ -330,7 +330,7 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
     for warning in plan.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     with _index_lock(args.index):
-        updated = incremental.apply_update(index, plan, drafts, store)
+        updated = incremental.apply_update(index, plan, drafts)
         _write_text(args.index, serialize_index(updated))
     pending = [path for path in plan.regenerate if path not in drafts]
     for path in pending:

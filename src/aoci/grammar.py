@@ -27,9 +27,11 @@ The file format is UTF-8, line oriented:
 Canonical output uses LF line endings, exactly one space around ``|``, no
 spaces after commas in R, and a single trailing newline; ``serialize_index``
 followed by ``parse_index`` is the identity on valid indexes. The parser is
-tolerant of extra whitespace so that non-canonical files can be reformatted,
-and in lenient mode collects located errors instead of stopping at the first.
-Errors carry the line and column; the parse keeps no other position data.
+tolerant of extra whitespace so that non-canonical files can be reformatted.
+One parse reads the whole document and collects every located error;
+``parse_index`` raises the first of them and ``parse_index_report`` returns
+them all. Errors carry the line and column; the parse keeps no other
+position data.
 
 Each line is checked once. ``decode_tag`` memoises on the dictionary, so a
 parse decodes each distinct tag once, and ``Index`` accepts the parser's
@@ -99,7 +101,7 @@ class ParseError(AociError):
 
 @dataclass
 class ParseReport:
-    """Outcome of a lenient parse: best-effort index plus every error found."""
+    """Outcome of a parse: best-effort index plus every error found."""
 
     index: Index | None
     errors: list[ParseError] = field(default_factory=list)
@@ -192,42 +194,35 @@ def _longest_suffix(text: str, codes: dict[str, str]) -> str | None:
     return best
 
 
-def _greedy_codes(text: str, codes: dict[str, str]) -> list[str] | None:
-    """Split ``text`` into a code sequence by repeated longest match."""
+def _greedy_codes(text: str, codes: dict[str, str]) -> tuple[list[str], str]:
+    """Split ``text`` into a code sequence by repeated longest match.
+
+    Returns the codes matched and the remainder where no code matched; the
+    split succeeded when that remainder is empty.
+    """
     out: list[str] = []
     rest = text
     while rest:
         code = _longest_prefix(rest, codes)
         if code is None:
-            return None
+            break
         out.append(code)
         rest = rest[len(code) :]
-    return out
+    return out, rest
 
 
 def _split_suffix(suffix: str, dictionary: TagDictionary) -> tuple[tuple[str, ...], str | None]:
     scale = _longest_suffix(suffix, dictionary.dim_e)
     if scale is not None:
         middle = suffix[: len(suffix) - len(scale)]
-        features = _greedy_codes(middle, dictionary.dim_d)
-        if features is not None:
+        features, stuck = _greedy_codes(middle, dictionary.dim_d)
+        if not stuck:
             return tuple(features), scale
     # Single backtrack: no scale code, the whole suffix is features.
-    features = _greedy_codes(suffix, dictionary.dim_d)
-    if features is None:
-        stuck = _stuck_remainder(suffix, dictionary.dim_d)
+    features, stuck = _greedy_codes(suffix, dictionary.dim_d)
+    if stuck:
         raise UnknownCode("D", stuck)
     return tuple(features), None
-
-
-def _stuck_remainder(text: str, codes: dict[str, str]) -> str:
-    rest = text
-    while rest:
-        code = _longest_prefix(rest, codes)
-        if code is None:
-            return rest
-        rest = rest[len(code) :]
-    return rest
 
 
 def decode_table_tag(tag: str, dictionary: TagDictionary) -> tuple[str, str, str, tuple[str, ...]]:
@@ -344,43 +339,35 @@ def serialize_index(index: Index) -> str:
 # ---------------------------------------------------------------------------
 
 
-def parse_index(text: str | bytes, *, lenient: bool = False) -> Index:
+def parse_index(text: str | bytes) -> Index:
     """Parse an index document.
 
-    In strict mode (default) the first error aborts the parse. With
-    ``lenient=True`` malformed lines are skipped; use ``parse_index_report``
-    to also retrieve the collected errors.
+    The parse reads the whole document and collects every located error, as
+    ``parse_index_report`` does; this raises the first error found.
 
     Raises:
-        ParseError: located description of the first (strict) or only fatal
-            (lenient) failure.
+        ParseError: located description of the first failure.
     """
-    report = _parse(text, stop_on_error=not lenient)
-    if report.errors and not lenient:
+    report = parse_index_report(text)
+    if report.errors:
         raise report.errors[0]
-    if report.index is None:
-        raise report.errors[0]
+    assert report.index is not None
     return report.index
 
 
 def parse_index_report(text: str | bytes) -> ParseReport:
-    """Lenient parse returning the index and every located error."""
-    return _parse(text, stop_on_error=False)
-
-
-class _Aborted(Exception):
-    """Internal: stop-on-first-error unwind."""
+    """Parse returning the best-effort index and every located error."""
+    parser = _Parser()
+    decoded = _decode_input(text, parser)
+    return ParseReport(_parse_document(decoded, parser), parser.errors)
 
 
 class _Parser:
-    def __init__(self, stop_on_error: bool):
-        self.stop_on_error = stop_on_error
+    def __init__(self):
         self.errors: list[ParseError] = []
 
     def fail(self, line_no: int, column: int, kind: ParseErrorKind, message: str):
         self.errors.append(ParseError(line_no, column, kind, message))
-        if self.stop_on_error:
-            raise _Aborted
 
 
 def _decode_input(text: str | bytes, parser: _Parser) -> str:
@@ -396,16 +383,6 @@ def _decode_input(text: str | bytes, parser: _Parser) -> str:
             line_no, column, ParseErrorKind.ENCODING, f"invalid UTF-8 at byte {exc.start}"
         )
         return text.decode("utf-8", errors="replace")
-
-
-def _parse(text: str | bytes, stop_on_error: bool) -> ParseReport:
-    parser = _Parser(stop_on_error)
-    try:
-        decoded = _decode_input(text, parser)
-        index = _parse_document(decoded, parser)
-    except _Aborted:
-        index = None
-    return ParseReport(index, parser.errors)
 
 
 class _HeaderBuilder:
@@ -635,7 +612,7 @@ def _parse_dim(rest: str, line_no: int, builder: _HeaderBuilder, parser: _Parser
             ParseErrorKind.INVALID_DICTIONARY,
             "dimension E allows at most four scale levels",
         )
-        # Drop the overflow so a lenient parse can continue.
+        # Drop the overflow so the parse can continue.
         for code in list(builder.dims["E"])[4:]:
             del builder.dims["E"][code]
 
@@ -669,12 +646,10 @@ def _parse_code_map(
             )
             continue
         try:
-            # The checks TagDictionary applies. They run under the name "A"
-            # so the message text stays "dimension D: dimension A: ...".
-            check_code("A", code)
-            check_label("A", label)
+            check_code(name, code)
+            check_label(name, label)
         except InvariantError as exc:
-            parser.fail(line_no, 1, ParseErrorKind.INVALID_DICTIONARY, f"dimension {name}: {exc}")
+            parser.fail(line_no, 1, ParseErrorKind.INVALID_DICTIONARY, str(exc))
             continue
         target[code] = label
 
@@ -727,12 +702,10 @@ def parse_code_entry_line(line: str, dictionary: TagDictionary) -> CodeEntry:
     Raises:
         ParseError: with line number 1.
     """
-    parser = _Parser(stop_on_error=True)
-    try:
-        entry = _parse_code_line(line.strip(), 1, dictionary, parser)
-    except _Aborted:
-        raise parser.errors[0] from None
-    assert entry is not None
+    parser = _Parser()
+    entry = _parse_code_line(line.strip(), 1, dictionary, parser)
+    if entry is None:
+        raise parser.errors[0]
     return entry
 
 

@@ -319,14 +319,13 @@ def apply_update(
     index: Index,
     plan: UpdatePlan,
     drafts: Mapping[str, DraftEntry | CodeEntry] | None = None,
-    store: StalenessStore | None = None,
 ) -> Index:
     """Apply a plan, substituting supplied drafts for regenerated paths.
 
-    Regenerate paths without a draft keep their old entry text (if any) and
-    are marked pending in ``store`` when one is given; prompt packs carry the
-    regeneration to an external model. Applying the same plan twice with the
-    same drafts is a no-op the second time.
+    Regenerate paths without a draft keep their old entry text (if any);
+    ``commit_plan`` marks them pending in the staleness store, and prompt
+    packs carry the regeneration to an external model. Applying the same plan
+    twice with the same drafts is a no-op the second time.
 
     Raises:
         PlanMismatch: a draft names a path the plan does not regenerate, or
@@ -358,13 +357,9 @@ def apply_update(
         entries.append(entry)
 
     by_path = {entry.path: i for i, entry in enumerate(entries)}
-    pending: list[str] = []
     for path in plan.regenerate:
         supplied = drafts.get(path)
         if supplied is None:
-            if store is not None:
-                store.mark_pending(path)
-            pending.append(path)
             continue
         entry = supplied.entry if isinstance(supplied, DraftEntry) else supplied
         if entry.path != path:

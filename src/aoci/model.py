@@ -190,20 +190,6 @@ class DecodedTag:
         if self.importance not in IMPORTANCE_SCALE:
             raise InvariantError(f"importance {self.importance} is not on the scale")
 
-    def validate_against(self, dictionary: TagDictionary) -> None:
-        """Raise InvariantError unless every code resolves in ``dictionary``."""
-        if self.importance not in dictionary.dim_c:
-            raise InvariantError(f"importance {self.importance} not allowed by dim_c")
-        if self.layer not in dictionary.dim_a:
-            raise InvariantError(f"layer code {self.layer!r} not in dimension A")
-        if self.module not in dictionary.dim_b:
-            raise InvariantError(f"module code {self.module!r} not in dimension B")
-        for feat in self.features:
-            if feat not in dictionary.dim_d:
-                raise InvariantError(f"feature code {feat!r} not in dimension D")
-        if self.scale is not None and self.scale not in dictionary.dim_e:
-            raise InvariantError(f"scale code {self.scale!r} not in dimension E")
-
 
 @dataclass(frozen=True)
 class Header:

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import FIXTURES
 from aoci.cli import run
-from aoci.grammar import parse_index
+from aoci.grammar import parse_index, serialize_code_entry
+from aoci.incremental import StalenessStore, content_digest, entry_digest
 
 GOLDEN = FIXTURES / "listing1.aoci"
 
@@ -263,6 +264,43 @@ def test_update_cli_pending_without_draft(tmp_path, golden_copy, capsys):
     assert run(["update", str(golden_copy), "--changes", str(changes)]) == 0
     assert "pending regeneration" in capsys.readouterr().err
     assert parse_index(golden_copy.read_bytes()).entry_map()["auth.go"].s.startswith("extract")
+
+
+def test_update_cli_store_marks_pending_then_commits_draft(
+    tmp_path, golden_copy, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "auth.go").write_text("package middleware\n", encoding="utf-8")
+    changes = tmp_path / "changes.txt"
+    changes.write_text("M\tauth.go\n", encoding="utf-8")
+    store = tmp_path / "s.tsv"
+    before = golden_copy.read_bytes()
+
+    # No draft: the store records the path as pending, the index is untouched.
+    args = ["update", str(golden_copy), "--changes", str(changes), "--store", str(store)]
+    assert run(args) == 0
+    assert "pending regeneration (no draft supplied): auth.go" in capsys.readouterr().err
+    assert golden_copy.read_bytes() == before
+    assert StalenessStore.load(store.read_text(encoding="utf-8")).get("auth.go") == ("", "")
+
+    # With a draft: the content digest is filled in and the entry digest is
+    # the new line's.
+    drafts = tmp_path / "drafts"
+    drafts.mkdir()
+    (drafts / "auth.go.entry.txt").write_text(
+        "auth.go[WA9JM]: F:JWT authentication middleware | R:pkg/jwt,model/user | A:- | "
+        "S:revised synopsis via the drafts directory passes length checks\n",
+        encoding="utf-8",
+    )
+    assert run(args + ["--drafts", str(drafts)]) == 0
+    assert "pending" not in capsys.readouterr().err
+    entry = parse_index(golden_copy.read_bytes()).entry_map()["auth.go"]
+    assert entry.s.startswith("revised synopsis")
+    assert serialize_code_entry(entry) in golden_copy.read_text(encoding="utf-8").splitlines()
+    assert StalenessStore.load(store.read_text(encoding="utf-8")).get("auth.go") == (
+        content_digest(b"package middleware\n"),
+        entry_digest(entry),
+    )
 
 
 def test_update_cli_usage_errors(golden_copy, tmp_path):

@@ -296,6 +296,20 @@ def test_lenient_mode_collects_errors(listing_text):
     assert "org_repo.go" not in paths  # bad entry skipped, rest kept
     assert "auth.go" in paths
 
+    # parse_index raises the first collected error: the header line's.
+    first, second = report.errors
+    assert first.line_number < second.line_number
+    assert first.kind is ParseErrorKind.UNKNOWN_DIRECTIVE
+    with pytest.raises(ParseError) as excinfo:
+        parse_index(broken)
+    raised = excinfo.value
+    assert (raised.line_number, raised.column, raised.kind, raised.message) == (
+        first.line_number,
+        first.column,
+        first.kind,
+        first.message,
+    )
+
 
 def test_missing_version_directive():
     with pytest.raises(ParseError, match="#AOCI"):
@@ -317,9 +331,9 @@ def test_duplicate_dictionary_code():
 @pytest.mark.parametrize(
     "directive,message",
     [
-        ("#DIM D J1=x", "dimension D: dimension A: code 'J1' contains reserved character '1'"),
-        ("#TDIM FEAT =x", "dimension FEAT: dimension A: empty code"),
-        ("#DIM A W=a\rb", "dimension A: dimension A: label 'a\\rb' contains ',' or a line break"),
+        ("#DIM D J1=x", "dimension D: code 'J1' contains reserved character '1'"),
+        ("#TDIM FEAT =x", "dimension FEAT: empty code"),
+        ("#DIM A W=a\rb", "dimension A: label 'a\\rb' contains ',' or a line break"),
     ],
 )
 def test_bad_header_code_or_label_is_located_on_its_directive(directive, message):

@@ -174,8 +174,9 @@ def test_apply_added_path_appends(listing_index, reference_dictionary):
 def test_apply_without_draft_keeps_old_text_and_marks_pending(listing_index):
     store = StalenessStore()
     plan = plan_update(listing_index, parse_changeset("M\tauth.go"))
-    updated = apply_update(listing_index, plan, store=store)
+    updated = apply_update(listing_index, plan)
     assert updated == listing_index
+    commit_plan(store, plan, updated, {}, drafted=[])
     assert store.get("auth.go") == ("", "")
 
 
@@ -315,13 +316,13 @@ def test_store_commit_cycle(listing_index, reference_dictionary, tmp_path):
         reference_dictionary,
     )
     plan = plan_update(listing_index, changes)
-    updated = apply_update(listing_index, plan, {"auth.go": draft}, store)
+    updated = apply_update(listing_index, plan, {"auth.go": draft})
     commit_plan(store, plan, updated, digests, drafted=["auth.go"])
     assert detect_stale(store, sorted(digests.items()), updated).records == ()
 
     # Without a draft the path stays pending: detection keeps flagging it.
     plan2 = plan_update(updated, parse_changeset("M\tconfig.yaml"))
-    updated2 = apply_update(updated, plan2, store=store)
+    updated2 = apply_update(updated, plan2)
     commit_plan(store, plan2, updated2, digests, drafted=[])
     records = detect_stale(store, sorted(digests.items()), updated2).records
     assert records == (ChangeRecord(ChangeStatus.MODIFIED, "config.yaml"),)
