@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import glob
 import json
 import os
 import sys
@@ -43,7 +44,7 @@ from .grammar import (
     serialize_index,
 )
 from .metrics import TokenEstimator, index_stats, score_what, score_where, stats_records, stats_table
-from .model import Index
+from .model import Index, canonical_path
 from .validator import (
     Severity,
     check_coverage,
@@ -283,6 +284,17 @@ def _cmd_scaffold(args: argparse.Namespace) -> ExitCode:
     return ExitCode.OK
 
 
+def _own_files(args: argparse.Namespace, root: str) -> list[str]:
+    """Exclude globs for the index and store files that lie under ``root``."""
+    own = [args.store] if args.index == "-" else [args.index, args.store]
+    globs = []
+    for path in own:
+        rel = os.path.relpath(os.path.abspath(path), root)
+        if rel != os.pardir and not rel.startswith(os.pardir + os.sep):
+            globs.append(glob.escape(canonical_path(rel)))
+    return globs
+
+
 def _cmd_update(args: argparse.Namespace) -> ExitCode:
     if args.detect and not args.store:
         raise ConfigError("--detect requires --store")
@@ -303,7 +315,8 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
         )
     if args.detect:
         assert store is not None
-        digests = incremental.collect_file_digests(os.getcwd())
+        root = os.getcwd()
+        digests = incremental.collect_file_digests(root, exclude_globs=_own_files(args, root))
         file_digests = dict(digests)
         changes = incremental.detect_stale(store, digests, index)
     else:

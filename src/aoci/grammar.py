@@ -106,10 +106,6 @@ class ParseReport:
     index: Index | None
     errors: list[ParseError] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return self.index is not None and not self.errors
-
 
 # ---------------------------------------------------------------------------
 # Tag codec

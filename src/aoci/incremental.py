@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import logging
 import os
 import re
 from dataclasses import dataclass, field
@@ -39,8 +40,10 @@ from .model import (
     Index,
     canonical_path,
 )
-from .scaffold import DraftEntry
+from .scaffold import DraftEntry, _walk_files
 from .validator import RefResolver, sans_ext
+
+logger = logging.getLogger(__name__)
 
 _STATUS_RE = re.compile(r"^([AMD]|R\d*)$")
 
@@ -412,16 +415,18 @@ def collect_file_digests(
     include_globs: Iterable[str] = ("*",),
     exclude_globs: Iterable[str] = (),
 ) -> list[tuple[str, str]]:
-    """Walk ``root`` and digest every visible file, for staleness detection.
+    """Digest every file ``scaffold._walk_files`` admits, for staleness detection.
 
-    Hidden directories and files are skipped, matching the scaffolder's
-    scanning policy.
+    Each file is read once, in the walk's order. Unreadable files are skipped
+    with a logged warning; a root that is not a directory raises OSError.
     """
-    from .scaffold import scan_repo
-
-    root = os.fspath(root)
     out: list[tuple[str, str]] = []
-    for item in scan_repo(root, include_globs, exclude_globs):
-        with open(os.path.join(root, item.path), "rb") as handle:
-            out.append((item.path, content_digest(handle.read())))
+    for path, fs_path in _walk_files(root, include_globs, exclude_globs):
+        try:
+            with open(fs_path, "rb") as handle:
+                data = handle.read()
+        except OSError as exc:
+            logger.warning("skipping unreadable file %s: %s", path, exc)
+            continue
+        out.append((path, content_digest(data)))
     return out

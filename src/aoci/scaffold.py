@@ -50,7 +50,7 @@ import os
 import posixpath
 import re
 from dataclasses import dataclass, field
-from fnmatch import fnmatchcase
+from fnmatch import fnmatchcase, translate
 from typing import Callable, Iterable, Mapping
 
 from .errors import ConfigError
@@ -292,42 +292,70 @@ class ScannedFile:
     ext: str
 
 
+def _any_glob(globs: Iterable[str]) -> Callable[[str], object]:
+    """One compiled matcher for "the path matches any of ``globs``".
+
+    Equivalent to ``any(fnmatchcase(path, glob) for glob in globs)``, which
+    is false for no globs; ``fnmatch.translate`` output is made to be joined
+    with ``|``.
+    """
+    return re.compile("|".join(translate(glob) for glob in globs) or "(?!)").match
+
+
+def _walk_files(
+    root: str | os.PathLike[str],
+    include_globs: Iterable[str] = ("*",),
+    exclude_globs: Iterable[str] = (),
+) -> list[tuple[str, str]]:
+    """List eligible files as ``(canonical path, filesystem path)`` pairs.
+
+    This is the one eligibility rule for every tree walk: hidden directories
+    and files (leading dot) are skipped, the globs match whole canonical
+    paths, and pairs come out in lexicographic canonical-path order, ties in
+    walk order. Nothing is opened. A root that is not a directory raises
+    OSError.
+    """
+    root = os.fspath(root)
+    if not os.path.isdir(root):
+        raise OSError(f"not a readable directory: {root}")
+    included = _any_glob(include_globs)
+    excluded = _any_glob(exclude_globs)
+    out: list[tuple[str, str]] = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = sorted(d for d in dirnames if not d.startswith("."))
+        rel_dir = os.path.relpath(dirpath, root)
+        prefix = "" if rel_dir == os.curdir else rel_dir + os.sep
+        fs_prefix = os.path.join(dirpath, "")
+        for filename in sorted(filenames):
+            if filename.startswith("."):
+                continue
+            rel = canonical_path(prefix + filename)
+            if included(rel) and not excluded(rel):
+                out.append((rel, fs_prefix + filename))
+    out.sort(key=lambda item: item[0])
+    return out
+
+
 def scan_repo(
     root: str | os.PathLike[str],
     include_globs: Iterable[str] = ("*",),
     exclude_globs: Iterable[str] = (),
 ) -> list[ScannedFile]:
-    """List eligible files with line counts, in lexicographic path order.
+    """List the files ``_walk_files`` admits, with line counts, in its order.
 
-    Hidden directories and files (leading dot) are always skipped; the globs
-    filter whole canonical paths. Unreadable files are skipped with a logged
-    warning; an unreadable root raises OSError.
+    Each file is read once. Unreadable files are skipped with a logged
+    warning; a root that is not a directory raises OSError.
     """
-    include = tuple(include_globs)
-    exclude = tuple(exclude_globs)
-    root = os.fspath(root)
-    if not os.path.isdir(root):
-        raise OSError(f"not a readable directory: {root}")
     out: list[ScannedFile] = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if not d.startswith("."))
-        for filename in sorted(filenames):
-            if filename.startswith("."):
-                continue
-            rel = canonical_path(os.path.relpath(os.path.join(dirpath, filename), root))
-            if not any(fnmatchcase(rel, glob) for glob in include):
-                continue
-            if any(fnmatchcase(rel, glob) for glob in exclude):
-                continue
-            try:
-                with open(os.path.join(dirpath, filename), "rb") as handle:
-                    data = handle.read()
-            except OSError as exc:
-                logger.warning("skipping unreadable file %s: %s", rel, exc)
-                continue
-            ext = os.path.splitext(filename)[1].lower()
-            out.append(ScannedFile(path=rel, loc=len(data.splitlines()), ext=ext))
-    out.sort(key=lambda item: item.path)
+    for rel, fs_path in _walk_files(root, include_globs, exclude_globs):
+        try:
+            with open(fs_path, "rb") as handle:
+                data = handle.read()
+        except OSError as exc:
+            logger.warning("skipping unreadable file %s: %s", rel, exc)
+            continue
+        ext = os.path.splitext(fs_path)[1].lower()
+        out.append(ScannedFile(path=rel, loc=len(data.splitlines()), ext=ext))
     return out
 
 

@@ -3,7 +3,9 @@ generators used by the property and acceptance suites."""
 
 from __future__ import annotations
 
+import os
 import random
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import pytest
@@ -233,3 +235,67 @@ def make_index(
         dictionary=dictionary,
     )
     return Index(header, tuple(entries), tuple(table_entries))
+
+
+# ---------------------------------------------------------------------------
+# Tree walks: one awkward tree and a brute-force reading of the walk rule
+# ---------------------------------------------------------------------------
+
+#: Globs the walk differential tests run under: everything, an exclude, and
+#: an include.
+WALK_GLOB_SETS = (
+    (("*",), ()),
+    (("*",), ("a/*",)),
+    (("*.py", "src/*"), ()),
+)
+
+#: The one unreadable file ``make_walk_tree`` leaves: a dangling symlink.
+UNREADABLE = "src/gone.go"
+
+
+def make_walk_tree(root: Path) -> None:
+    """Nested and hidden directories, dotfiles, ``a.b/f`` beside ``a/f``, CR,
+    CRLF and unterminated last lines, an empty file and a dangling symlink."""
+    files = {
+        "a/f": b"one\ntwo\n",
+        "a.b/f": b"1\r2\r3",
+        "a-b/f": b"\r\n\r\n",
+        "a/b/c/deep.py": b"x = 1\r\ny = 2",
+        "src/main.go": b"package main\n\nfunc main() {}",
+        "src/util.py": b"",
+        "src/.hidden.go": b"hidden\n",
+        "src/.cache/c.py": b"cached\n",
+        ".git/config": b"[core]\n",
+        ".env": b"K=V\n",
+        "README": b"text\n",
+        "n/m/k.PY": b"a\nb\n",
+    }
+    for rel, data in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    os.symlink(root / "nowhere.go", root / UNREADABLE)
+
+
+def reference_walk(root: Path, include, exclude) -> list[tuple[str, bytes, str]]:
+    """``(path, bytes, file name)`` of every readable visible file that the
+    globs admit, in path order, found the slow way: a ``relpath`` per file."""
+    out = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [d for d in dirnames if not d.startswith(".")]
+        for filename in filenames:
+            if filename.startswith("."):
+                continue
+            full = os.path.join(dirpath, filename)
+            rel = os.path.relpath(full, root).replace(os.sep, "/")
+            if not any(fnmatchcase(rel, glob) for glob in include):
+                continue
+            if any(fnmatchcase(rel, glob) for glob in exclude):
+                continue
+            try:
+                with open(full, "rb") as handle:
+                    data = handle.read()
+            except OSError:
+                continue
+            out.append((rel, data, filename))
+    return sorted(out)

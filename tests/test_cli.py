@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -368,6 +369,60 @@ def test_update_cli_detect_cycle(tmp_path, monkeypatch, capsys):
     assert "pending" not in capsys.readouterr().err
     updated = parse_index(index_path.read_bytes())
     assert updated.entry_map()["middleware/auth.go"].s == "filled in"
+
+
+DETECT_INDEX = (
+    "#AOCI 1\n#DIM A W=Middleware\n#DIM B A=Auth\n#DIM C 9,8,7,5,3,1\n"
+    "#DIM E M=Medium\n@CODE\n"
+    "middleware/auth.go[WA9M]: F:auth | R:- | A:- | S:text\n"
+)
+
+
+@pytest.mark.skipif(os.sep == "\\", reason="a backslash is a separator on this platform")
+def test_update_cli_detect_digests_a_backslash_file_name(tmp_path, monkeypatch, capsys):
+    # Legal on POSIX; its canonical path is y/z.go, which names no file.
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    monkeypatch.chdir(repo)
+    (repo / "y\\z.go").write_bytes(b"package y\n")
+    index_path = tmp_path / "idx.aoci"
+    index_path.write_text(DETECT_INDEX, encoding="utf-8")
+    store = tmp_path / "s.tsv"
+    drafts = tmp_path / "drafts"
+    drafts.mkdir()
+    (drafts / "z.entry.txt").write_text(
+        "y/z.go[WA9M]: F:y | R:- | A:- | S:drafted\n", encoding="utf-8"
+    )
+
+    args = ["update", str(index_path), "--detect", "--store", str(store), "--drafts", str(drafts)]
+    assert run(args) == 0, capsys.readouterr().err
+    entry = parse_index(index_path.read_bytes()).entry_map()["y/z.go"]
+    assert StalenessStore.load(store.read_text(encoding="utf-8")).get("y/z.go") == (
+        content_digest(b"package y\n"),
+        entry_digest(entry),
+    )
+
+
+def test_update_cli_detect_skips_its_own_index_and_store(tmp_path, monkeypatch, capsys):
+    # Index and store in the repository root, one named relatively and one
+    # absolutely; the brackets would be a glob class if left unescaped.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "middleware").mkdir()
+    (tmp_path / "middleware" / "auth.go").write_text("package middleware\n", encoding="utf-8")
+    (tmp_path / "idx[1].aoci").write_text(DETECT_INDEX, encoding="utf-8")
+    store = tmp_path / "store.tsv"
+    args = ["update", "idx[1].aoci", "--detect", "--store", str(store)]
+
+    assert run(args) == 0
+    assert capsys.readouterr().err == (
+        "pending regeneration (no draft supplied): middleware/auth.go\n"
+    )
+    assert run(args) == 0
+    assert capsys.readouterr().err == (
+        "pending regeneration (no draft supplied): middleware/auth.go\n"
+    )
+    stored = StalenessStore.load(store.read_text(encoding="utf-8"))
+    assert stored.paths() == frozenset({"middleware/auth.go"})
 
 
 def test_update_cli_refuses_locked_index(tmp_path, golden_copy, capsys):

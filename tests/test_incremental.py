@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import hashlib
+import os
 import random
+from fnmatch import fnmatchcase
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_index
+from conftest import UNREADABLE, WALK_GLOB_SETS, make_index, make_walk_tree, reference_walk
+from aoci import incremental, scaffold
 from aoci.errors import PlanMismatch
 from aoci.grammar import ParseError, parse_code_entry_line, serialize_index
 from aoci.incremental import (
     StalenessStore,
     apply_update,
+    collect_file_digests,
     commit_plan,
     content_digest,
     detect_stale,
@@ -326,3 +332,31 @@ def test_store_commit_cycle(listing_index, reference_dictionary, tmp_path):
     commit_plan(store, plan2, updated2, digests, drafted=[])
     records = detect_stale(store, sorted(digests.items()), updated2).records
     assert records == (ChangeRecord(ChangeStatus.MODIFIED, "config.yaml"),)
+
+
+@pytest.mark.parametrize("include, exclude", WALK_GLOB_SETS)
+def test_collect_file_digests_matches_brute_force_walk(tmp_path, caplog, include, exclude):
+    make_walk_tree(tmp_path)
+    got = collect_file_digests(tmp_path, include, exclude)
+    want = [
+        (rel, hashlib.sha256(data).hexdigest())
+        for rel, data, _ in reference_walk(tmp_path, include, exclude)
+    ]
+    assert got == want and got
+    admitted = any(fnmatchcase(UNREADABLE, glob) for glob in include)
+    assert (f"skipping unreadable file {UNREADABLE}" in caplog.text) == admitted
+
+
+def test_collect_file_digests_opens_each_file_once(tmp_path, monkeypatch):
+    make_walk_tree(tmp_path)
+    opened = collections.Counter()
+
+    def counting_open(path, *args, **kwargs):
+        opened[os.path.relpath(path, tmp_path).replace(os.sep, "/")] += 1
+        return open(path, *args, **kwargs)
+
+    for module in (scaffold, incremental):
+        monkeypatch.setattr(module, "open", counting_open, raising=False)
+    digests = collect_file_digests(tmp_path)
+    assert len(digests) == 8
+    assert opened == collections.Counter([path for path, _ in digests] + [UNREADABLE])

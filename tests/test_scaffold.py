@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import os
 import random
+from fnmatch import fnmatchcase
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import UNREADABLE, WALK_GLOB_SETS, make_walk_tree, reference_walk
 from aoci.errors import ConfigError
 from aoci.grammar import decode_tag, serialize_index
 from aoci.scaffold import (
     DEFAULT_IMPORT_PATTERNS,
+    _any_glob,
     ScaffoldRules,
     dictionary_from_rules,
     draft_entry,
@@ -133,6 +139,31 @@ def test_scan_skips_hidden_and_respects_globs(tmp_path):
 def test_scan_missing_root(tmp_path):
     with pytest.raises(OSError):
         scan_repo(tmp_path / "nope")
+
+
+@pytest.mark.parametrize("include, exclude", WALK_GLOB_SETS)
+def test_scan_matches_brute_force_walk(tmp_path, caplog, include, exclude):
+    make_walk_tree(tmp_path)
+    got = [(f.path, f.loc, f.ext) for f in scan_repo(tmp_path, include, exclude)]
+    want = [
+        (rel, len(data.splitlines()), os.path.splitext(name)[1].lower())
+        for rel, data, name in reference_walk(tmp_path, include, exclude)
+    ]
+    assert got == want and got
+    admitted = any(fnmatchcase(UNREADABLE, glob) for glob in include)
+    assert (f"skipping unreadable file {UNREADABLE}" in caplog.text) == admitted
+
+
+glob_st = st.text(alphabet="ab/.*?[]!-", max_size=6)
+name_st = st.text(alphabet="ab/.-[]", max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(glob_st, max_size=3), st.lists(name_st, max_size=6))
+def test_any_glob_matches_fnmatchcase(globs, names):
+    matches = _any_glob(globs)
+    for name in names:
+        assert bool(matches(name)) == any(fnmatchcase(name, glob) for glob in globs)
 
 
 def test_extract_relations_go_module_prefix():
