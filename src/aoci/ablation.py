@@ -25,13 +25,6 @@ class AblationVariant(Enum):
     WO_S = "wo-S"
     WO_FRAS = "wo-FRAS"
 
-    @classmethod
-    def from_cli_name(cls, name: str) -> AblationVariant:
-        for variant in cls:
-            if variant.value == name:
-                return variant
-        raise ValueError(f"unknown ablation variant {name!r}")
-
 
 def apply_ablation(
     index: Index, variant: AblationVariant, include_tables: bool = False

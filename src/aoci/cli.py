@@ -273,7 +273,7 @@ def _cmd_scaffold(args: argparse.Namespace) -> ExitCode:
     _write_text(args.out or "-", serialize_index(result.index))
     if args.prompts:
         packs = scaffold.emit_prompt_pack(
-            result.index, result.drafts, scaffold.file_source_loader(args.root)
+            result.index, result.drafts, scaffold.file_source_loader(result.fs_paths)
         )
         out_dir = Path(args.prompts)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -367,7 +367,7 @@ def _cmd_ablate(args: argparse.Namespace) -> ExitCode:
             + "\n"
         )
         return ExitCode.OK
-    variant = AblationVariant.from_cli_name(args.variant)
+    variant = AblationVariant(args.variant)
     sys.stdout.write(serialize_index(apply_ablation(index, variant, args.tables)))
     return ExitCode.OK
 

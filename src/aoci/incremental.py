@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import logging
 import os
 import re
 from dataclasses import dataclass, field
@@ -40,10 +39,8 @@ from .model import (
     Index,
     canonical_path,
 )
-from .scaffold import DraftEntry, _walk_files
+from .tree import read_files
 from .validator import RefResolver, sans_ext
-
-logger = logging.getLogger(__name__)
 
 _STATUS_RE = re.compile(r"^([AMD]|R\d*)$")
 
@@ -321,7 +318,7 @@ def detect_stale(
 def apply_update(
     index: Index,
     plan: UpdatePlan,
-    drafts: Mapping[str, DraftEntry | CodeEntry] | None = None,
+    drafts: Mapping[str, CodeEntry] | None = None,
 ) -> Index:
     """Apply a plan, substituting supplied drafts for regenerated paths.
 
@@ -361,10 +358,9 @@ def apply_update(
 
     by_path = {entry.path: i for i, entry in enumerate(entries)}
     for path in plan.regenerate:
-        supplied = drafts.get(path)
-        if supplied is None:
+        entry = drafts.get(path)
+        if entry is None:
             continue
-        entry = supplied.entry if isinstance(supplied, DraftEntry) else supplied
         if entry.path != path:
             raise PlanMismatch(
                 f"draft for {path} carries entry path {entry.path}"
@@ -415,18 +411,14 @@ def collect_file_digests(
     include_globs: Iterable[str] = ("*",),
     exclude_globs: Iterable[str] = (),
 ) -> list[tuple[str, str]]:
-    """Digest every file ``scaffold._walk_files`` admits, for staleness detection.
+    """Digest every file ``tree.read_files`` yields, for staleness detection.
 
-    Each file is read once, in the walk's order. Unreadable files are skipped
-    with a logged warning; a root that is not a directory raises OSError.
+    The walk is the one ``scaffold_repo`` drafts from, so detection sees the
+    same files. Each file is read once, from the filesystem path the walk
+    found, in walk order. Unreadable files are skipped with a logged
+    warning; a root that is not a directory raises OSError.
     """
-    out: list[tuple[str, str]] = []
-    for path, fs_path in _walk_files(root, include_globs, exclude_globs):
-        try:
-            with open(fs_path, "rb") as handle:
-                data = handle.read()
-        except OSError as exc:
-            logger.warning("skipping unreadable file %s: %s", path, exc)
-            continue
-        out.append((path, content_digest(data)))
-    return out
+    return [
+        (path, content_digest(data))
+        for path, _, data in read_files(root, include_globs, exclude_globs)
+    ]

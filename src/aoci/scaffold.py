@@ -45,12 +45,11 @@ back to the built-in Go, Python, and JavaScript/TypeScript patterns.
 
 from __future__ import annotations
 
-import logging
 import os
 import posixpath
 import re
 from dataclasses import dataclass, field
-from fnmatch import fnmatchcase, translate
+from fnmatch import fnmatchcase
 from typing import Callable, Iterable, Mapping
 
 from .errors import ConfigError
@@ -62,10 +61,9 @@ from .model import (
     TagDictionary,
     canonical_path,
 )
+from .tree import read_files
 # resolves_to is unused here; perfbench/spans.py patches aoci.scaffold.resolves_to by name.
 from .validator import DEFAULT_BUDGETS, RefResolver, budget_for, resolves_to  # noqa: F401
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_SIZE_CUTOFFS = (100, 300, 800)
 DEFAULT_SIZE_CODES = ("T", "S", "M", "L")
@@ -290,50 +288,7 @@ class ScannedFile:
     path: str
     loc: int
     ext: str
-
-
-def _any_glob(globs: Iterable[str]) -> Callable[[str], object]:
-    """One compiled matcher for "the path matches any of ``globs``".
-
-    Equivalent to ``any(fnmatchcase(path, glob) for glob in globs)``, which
-    is false for no globs; ``fnmatch.translate`` output is made to be joined
-    with ``|``.
-    """
-    return re.compile("|".join(translate(glob) for glob in globs) or "(?!)").match
-
-
-def _walk_files(
-    root: str | os.PathLike[str],
-    include_globs: Iterable[str] = ("*",),
-    exclude_globs: Iterable[str] = (),
-) -> list[tuple[str, str]]:
-    """List eligible files as ``(canonical path, filesystem path)`` pairs.
-
-    This is the one eligibility rule for every tree walk: hidden directories
-    and files (leading dot) are skipped, the globs match whole canonical
-    paths, and pairs come out in lexicographic canonical-path order, ties in
-    walk order. Nothing is opened. A root that is not a directory raises
-    OSError.
-    """
-    root = os.fspath(root)
-    if not os.path.isdir(root):
-        raise OSError(f"not a readable directory: {root}")
-    included = _any_glob(include_globs)
-    excluded = _any_glob(exclude_globs)
-    out: list[tuple[str, str]] = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if not d.startswith("."))
-        rel_dir = os.path.relpath(dirpath, root)
-        prefix = "" if rel_dir == os.curdir else rel_dir + os.sep
-        fs_prefix = os.path.join(dirpath, "")
-        for filename in sorted(filenames):
-            if filename.startswith("."):
-                continue
-            rel = canonical_path(prefix + filename)
-            if included(rel) and not excluded(rel):
-                out.append((rel, fs_prefix + filename))
-    out.sort(key=lambda item: item[0])
-    return out
+    fs_path: str
 
 
 def scan_repo(
@@ -341,22 +296,22 @@ def scan_repo(
     include_globs: Iterable[str] = ("*",),
     exclude_globs: Iterable[str] = (),
 ) -> list[ScannedFile]:
-    """List the files ``_walk_files`` admits, with line counts, in its order.
+    """List the files ``tree.read_files`` yields, with line counts, in walk order.
 
-    Each file is read once. Unreadable files are skipped with a logged
-    warning; a root that is not a directory raises OSError.
+    Each file is read once, from the filesystem path the walk found, which
+    ``ScannedFile.fs_path`` carries on to the later reads. Unreadable files
+    are skipped with a logged warning; a root that is not a directory
+    raises OSError.
     """
-    out: list[ScannedFile] = []
-    for rel, fs_path in _walk_files(root, include_globs, exclude_globs):
-        try:
-            with open(fs_path, "rb") as handle:
-                data = handle.read()
-        except OSError as exc:
-            logger.warning("skipping unreadable file %s: %s", rel, exc)
-            continue
-        ext = os.path.splitext(fs_path)[1].lower()
-        out.append(ScannedFile(path=rel, loc=len(data.splitlines()), ext=ext))
-    return out
+    return [
+        ScannedFile(
+            path=rel,
+            loc=len(data.splitlines()),
+            ext=os.path.splitext(fs_path)[1].lower(),
+            fs_path=fs_path,
+        )
+        for rel, fs_path, data in read_files(root, include_globs, exclude_globs)
+    ]
 
 
 def extract_relations(
@@ -484,9 +439,16 @@ def draft_entry(
 
 @dataclass(frozen=True)
 class ScaffoldResult:
+    """A draft index, its drafts and warnings, and where each file was found.
+
+    ``fs_paths`` maps each entry's canonical path to the filesystem path the
+    walk found; ``file_source_loader`` reads prompt-pack sources through it.
+    """
+
     index: Index
     drafts: tuple[DraftEntry, ...]
     warnings: tuple[str, ...]
+    fs_paths: Mapping[str, str]
 
 
 def scaffold_repo(
@@ -512,7 +474,7 @@ def scaffold_repo(
             relations[item.path] = []
             continue
         try:
-            with open(os.path.join(root, item.path), "rb") as handle:
+            with open(item.fs_path, "rb") as handle:
                 data = handle.read()
         except OSError:
             relations[item.path] = []
@@ -536,7 +498,12 @@ def scaffold_repo(
         dictionary=dictionary_from_rules(rules),
     )
     index = Index(header, tuple(draft.entry for draft in drafts))
-    return ScaffoldResult(index=index, drafts=tuple(drafts), warnings=warnings)
+    return ScaffoldResult(
+        index=index,
+        drafts=tuple(drafts),
+        warnings=warnings,
+        fs_paths={item.path: item.fs_path for item in files},
+    )
 
 
 def _fan_in_counts(
@@ -642,13 +609,20 @@ def emit_prompt_pack(
     return PromptPackResult(packs=tuple(packs), skipped=tuple(skipped))
 
 
-def file_source_loader(root: str | os.PathLike[str]) -> Callable[[str], str | None]:
-    """Loader reading sources from ``root``; missing files yield None."""
-    root = os.fspath(root)
+def file_source_loader(fs_paths: Mapping[str, str]) -> Callable[[str], str | None]:
+    """Loader reading a canonical path's source from the filesystem path the
+    walk found for it (``ScaffoldResult.fs_paths``).
+
+    Paths the map lacks, and files gone or unreadable since the walk, yield
+    None.
+    """
 
     def load(path: str) -> str | None:
+        fs_path = fs_paths.get(path)
+        if fs_path is None:
+            return None
         try:
-            with open(os.path.join(root, path), "rb") as handle:
+            with open(fs_path, "rb") as handle:
                 return handle.read().decode("utf-8", errors="replace")
         except OSError:
             return None

@@ -19,12 +19,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from fnmatch import fnmatchcase
 from typing import Iterable
 
 from .errors import ConfigError
 from .metrics import DEFAULT_ESTIMATOR, TokenEstimator
 from .model import Index, TagDictionary, canonical_path
+from .tree import any_glob
 
 #: Budgets applied when the header carries no #BUDGET directive. The 9 row
 #: and the 20-40 floor are protocol constants; the intermediate rows are
@@ -253,16 +253,11 @@ def check_coverage(
     Globs match the whole canonical path, so ``*`` crosses ``/``; the file
     list is expected canonical and is re-normalized defensively.
     """
-    include = _check_globs(include_globs, "include")
-    exclude = _check_globs(exclude_globs, "exclude")
+    included = any_glob(_check_globs(include_globs, "include"))
+    excluded = any_glob(_check_globs(exclude_globs, "exclude"))
     files = [canonical_path(path) for path in file_list]
     file_set = set(files)
-    eligible = [
-        path
-        for path in files
-        if any(fnmatchcase(path, glob) for glob in include)
-        and not any(fnmatchcase(path, glob) for glob in exclude)
-    ]
+    eligible = [path for path in files if included(path) and not excluded(path)]
     entry_paths = index.code_paths()
     unindexed = sorted(path for path in eligible if path not in entry_paths)
     orphans = sorted(path for path in entry_paths if path not in file_set)

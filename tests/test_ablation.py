@@ -27,9 +27,9 @@ def test_cli_names():
         "wo-S",
         "wo-FRAS",
     ]
-    assert AblationVariant.from_cli_name("wo-FRAS") is AblationVariant.WO_FRAS
+    assert AblationVariant("wo-FRAS") is AblationVariant.WO_FRAS
     with pytest.raises(ValueError):
-        AblationVariant.from_cli_name("wo-X")
+        AblationVariant("wo-X")
 
 
 def test_wo_abcde_strips_every_tag(listing_index):

@@ -239,6 +239,34 @@ def test_scaffold_cli(tmp_path, capsys):
     ]
 
 
+@pytest.mark.skipif(os.sep == "\\", reason="a backslash is a separator on this platform")
+def test_scaffold_cli_reads_a_backslash_file_name(tmp_path, capsys):
+    # Legal on POSIX; its canonical path is y/z.go, which names no file.
+    repo = tmp_path / "repo"
+    (repo / "x").mkdir(parents=True)
+    (repo / "x" / "q.go").write_text("package q\n", encoding="utf-8")
+    source = 'package z\nimport "x/q"\n'
+    (repo / "y\\z.go").write_text(source, encoding="utf-8")
+    rules = tmp_path / "rules.txt"
+    rules.write_text("[layer]\n* = W\n[module]\n* = A\n", encoding="utf-8")
+    out_index = tmp_path / "draft.aoci"
+    prompts = tmp_path / "prompts"
+    argv = ["scaffold", str(repo), "--rules", str(rules), "--out", str(out_index),
+            "--prompts", str(prompts)]
+
+    assert run(argv) == 0
+    assert "skipped prompt pack" not in capsys.readouterr().err
+    drafted = [line for line in out_index.read_text(encoding="utf-8").splitlines()
+               if line.startswith("y/z.go[")]
+    assert len(drafted) == 1 and " R:x/q " in drafted[0]
+    assert sorted(p.name for p in prompts.iterdir()) == [
+        "x__q.go.prompt.txt",
+        "y__z.go.prompt.txt",
+    ]
+    pack = (prompts / "y__z.go.prompt.txt").read_text(encoding="utf-8")
+    assert "\nSOURCE\n" + source in pack
+
+
 def test_update_cli_with_changes_and_drafts(tmp_path, golden_copy, capsys):
     changes = tmp_path / "changes.txt"
     changes.write_text("M\tauth.go\nD\tmodel/org/org.go\n", encoding="utf-8")

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import UNREADABLE, WALK_GLOB_SETS, make_index, make_walk_tree, reference_walk
-from aoci import incremental, scaffold
+from aoci import incremental, scaffold, tree
 from aoci.errors import PlanMismatch
 from aoci.grammar import ParseError, parse_code_entry_line, serialize_index
 from aoci.incremental import (
@@ -355,7 +355,7 @@ def test_collect_file_digests_opens_each_file_once(tmp_path, monkeypatch):
         opened[os.path.relpath(path, tmp_path).replace(os.sep, "/")] += 1
         return open(path, *args, **kwargs)
 
-    for module in (scaffold, incremental):
+    for module in (scaffold, incremental, tree):
         monkeypatch.setattr(module, "open", counting_open, raising=False)
     digests = collect_file_digests(tmp_path)
     assert len(digests) == 8

@@ -15,7 +15,6 @@ from aoci.errors import ConfigError
 from aoci.grammar import decode_tag, serialize_index
 from aoci.scaffold import (
     DEFAULT_IMPORT_PATTERNS,
-    _any_glob,
     ScaffoldRules,
     dictionary_from_rules,
     draft_entry,
@@ -26,6 +25,7 @@ from aoci.scaffold import (
     scaffold_repo,
     scan_repo,
 )
+from aoci.tree import any_glob
 from aoci.validator import has_errors, validate_index
 
 RULES_TEXT = """\
@@ -161,7 +161,7 @@ name_st = st.text(alphabet="ab/.-[]", max_size=8)
 @settings(max_examples=300, deadline=None)
 @given(st.lists(glob_st, max_size=3), st.lists(name_st, max_size=6))
 def test_any_glob_matches_fnmatchcase(globs, names):
-    matches = _any_glob(globs)
+    matches = any_glob(globs)
     for name in names:
         assert bool(matches(name)) == any(fnmatchcase(name, glob) for glob in globs)
 
@@ -289,7 +289,7 @@ def test_scaffold_extracts_cross_references(go_repo, rules):
 
 def test_prompt_pack_layout(go_repo, rules):
     result = scaffold_repo(go_repo, rules)
-    packs = emit_prompt_pack(result.index, result.drafts, file_source_loader(go_repo))
+    packs = emit_prompt_pack(result.index, result.drafts, file_source_loader(result.fs_paths))
     assert packs.skipped == ()
     by_path = {pack.path: pack for pack in packs.packs}
     pack = by_path["middleware/auth.go"]
@@ -305,15 +305,15 @@ def test_prompt_pack_budget_for_top_importance(go_repo, rules):
     result = scaffold_repo(go_repo, rules)
     top = [d for d in result.drafts if d.entry.decoded and d.entry.decoded.importance == 9]
     assert top, "fixture should produce at least one importance-9 draft"
-    packs = emit_prompt_pack(result.index, top, file_source_loader(go_repo))
+    packs = emit_prompt_pack(result.index, top, file_source_loader(result.fs_paths))
     assert "80-150 tokens (importance 9)" in packs.packs[0].text
 
 
 def test_prompt_pack_empty_and_skipped(go_repo, rules):
     result = scaffold_repo(go_repo, rules)
-    assert emit_prompt_pack(result.index, [], file_source_loader(go_repo)).packs == ()
+    assert emit_prompt_pack(result.index, [], file_source_loader(result.fs_paths)).packs == ()
     (go_repo / "config.yaml").unlink()
-    packs = emit_prompt_pack(result.index, result.drafts, file_source_loader(go_repo))
+    packs = emit_prompt_pack(result.index, result.drafts, file_source_loader(result.fs_paths))
     assert packs.skipped == ("config.yaml",)
 
 
