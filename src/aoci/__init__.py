@@ -23,6 +23,7 @@ from .errors import (
     UnknownCode,
 )
 from .grammar import (
+    IndexLines,
     ParseError,
     ParseErrorKind,
     ParseReport,
@@ -33,6 +34,7 @@ from .grammar import (
     parse_code_entry_line,
     parse_index,
     parse_index_report,
+    scan_index,
     serialize_code_entry,
     serialize_header,
     serialize_index,
@@ -41,6 +43,7 @@ from .grammar import (
 from .incremental import (
     StalenessStore,
     UpdatePlan,
+    apply_lines,
     apply_update,
     commit_plan,
     content_digest,

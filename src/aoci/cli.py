@@ -36,15 +36,17 @@ from . import incremental, scaffold
 from .ablation import AblationVariant, apply_ablation
 from .errors import AociError, ConfigError, TagError
 from .grammar import (
+    IndexLines,
     ParseError,
     decode_tag,
     parse_code_entry_line,
     parse_index,
     parse_index_report,
+    scan_index,
     serialize_index,
 )
 from .metrics import TokenEstimator, index_stats, score_what, score_where, stats_records, stats_table
-from .model import Index, canonical_path
+from .model import CodeEntry, Index, canonical_path
 from .validator import (
     Severity,
     check_coverage,
@@ -201,13 +203,17 @@ def _load_index(path: str) -> Index:
 
 @contextlib.contextmanager
 def _index_lock(path: str):
-    """Advisory lock against concurrent writers of the same index file."""
+    """Advisory lock against concurrent updates of the same index file.
+
+    ``update`` takes it before it reads the index and the store, and holds
+    it until both are written.
+    """
     if path == "-":
         yield
         return
     import fcntl
 
-    with open(path, "rb") as handle:
+    with Path(path).open("rb") as handle:
         try:
             fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError as exc:
@@ -295,6 +301,20 @@ def _own_files(args: argparse.Namespace, root: str) -> list[str]:
     return globs
 
 
+def _update_input(path: str, known_digest: str) -> IndexLines:
+    """The index to update, cut into lines.
+
+    Bytes with the digest the store recorded are the canonical text of a
+    valid index, as the last update wrote it, so they are only scanned.
+    Any other bytes are parsed and validated in full, then scanned in
+    canonical form.
+    """
+    data = _read_bytes(path)
+    if known_digest and known_digest == incremental.content_digest(data):
+        return scan_index(data.decode("utf-8"))
+    return scan_index(serialize_index(parse_index(data)))
+
+
 def _cmd_update(args: argparse.Namespace) -> ExitCode:
     if args.detect and not args.store:
         raise ConfigError("--detect requires --store")
@@ -303,56 +323,58 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
     if not args.detect and not args.changes:
         raise ConfigError("update needs --changes, or --detect with --store")
 
-    index = _load_index(args.index)
-    store = None
-    file_digests: dict[str, str] = {}
-    if args.store:
-        store_path = Path(args.store)
-        store = (
-            incremental.StalenessStore.load(store_path.read_text(encoding="utf-8"))
-            if store_path.exists()
-            else incremental.StalenessStore()
-        )
-    if args.detect:
-        assert store is not None
-        root = os.getcwd()
-        digests = incremental.collect_file_digests(root, exclude_globs=_own_files(args, root))
-        file_digests = dict(digests)
-        changes = incremental.detect_stale(store, digests, index)
-    else:
-        changes = incremental.parse_changeset(_read_text(args.changes))
-        if store is not None:
-            # Digest the touched files so the store records their current
-            # content; files that are gone simply stay undigested.
-            for record in changes.records:
-                for path in (record.path, record.new_path):
-                    if path and os.path.isfile(path):
-                        with open(path, "rb") as handle:
-                            file_digests[path] = incremental.content_digest(handle.read())
-
-    drafts: dict[str, object] = {}
-    if args.drafts:
-        for entry_file in sorted(Path(args.drafts).glob("*.entry.txt")):
-            line = entry_file.read_text(encoding="utf-8").strip()
-            if not line:
-                continue
-            entry = parse_code_entry_line(line, index.header.dictionary)
-            drafts[entry.path] = entry
-
-    plan = incremental.plan_update(index, changes)
-    for warning in plan.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     with _index_lock(args.index):
-        updated = incremental.apply_update(index, plan, drafts)
-        _write_text(args.index, serialize_index(updated))
-    pending = [path for path in plan.regenerate if path not in drafts]
-    for path in pending:
-        print(f"pending regeneration (no draft supplied): {path}", file=sys.stderr)
-    for host, ref in plan.dangling_after:
-        print(f"warning: dangling reference after update: {host} -> {ref}", file=sys.stderr)
-    if store is not None:
-        incremental.commit_plan(store, plan, updated, file_digests, drafts.keys())
-        Path(args.store).write_text(store.dump(), encoding="utf-8")
+        store = None
+        file_digests: dict[str, str] = {}
+        if args.store:
+            store_path = Path(args.store)
+            store = (
+                incremental.StalenessStore.load(store_path.read_text(encoding="utf-8"))
+                if store_path.exists()
+                else incremental.StalenessStore()
+            )
+        index = _update_input(args.index, store.index_digest if store is not None else "")
+        if args.detect:
+            assert store is not None
+            root = os.getcwd()
+            digests = incremental.collect_file_digests(root, exclude_globs=_own_files(args, root))
+            file_digests = dict(digests)
+            changes = incremental.detect_stale(store, digests, index)
+        else:
+            changes = incremental.parse_changeset(_read_text(args.changes))
+            if store is not None:
+                # Digest the touched files so the store records their current
+                # content; files that are gone simply stay undigested.
+                for record in changes.records:
+                    for path in (record.path, record.new_path):
+                        if path and os.path.isfile(path):
+                            with open(path, "rb") as handle:
+                                file_digests[path] = incremental.content_digest(handle.read())
+
+        drafts: dict[str, CodeEntry] = {}
+        if args.drafts:
+            for entry_file in sorted(Path(args.drafts).glob("*.entry.txt")):
+                line = entry_file.read_text(encoding="utf-8").strip()
+                if not line:
+                    continue
+                entry = parse_code_entry_line(line, index.header.dictionary)
+                drafts[entry.path] = entry
+
+        plan = incremental.plan_update(index, changes)
+        for warning in plan.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+        updated = incremental.apply_lines(index, plan, drafts)
+        out = updated.text()
+        _write_text(args.index, out)
+        pending = [path for path in plan.regenerate if path not in drafts]
+        for path in pending:
+            print(f"pending regeneration (no draft supplied): {path}", file=sys.stderr)
+        for host, ref in plan.dangling_after:
+            print(f"warning: dangling reference after update: {host} -> {ref}", file=sys.stderr)
+        if store is not None:
+            incremental.commit_plan(store, plan, updated, file_digests, drafts.keys())
+            store.index_digest = incremental.content_digest(out.encode("utf-8"))
+            Path(args.store).write_text(store.dump(), encoding="utf-8")
     return ExitCode.OK
 
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     AociError,
@@ -328,6 +329,85 @@ def serialize_index(index: Index) -> str:
         lines.append("@TABLES")
         lines.extend(serialize_table_entry(table) for table in index.table_entries)
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Scanning canonical text
+# ---------------------------------------------------------------------------
+
+# The path and the R element of a canonical entry line: paths hold no '[' or
+# ':', tags and F hold no '|', and references hold no space.
+_ROW_RE = re.compile(r"([^\[:]+)[^|]*\| R:([^ ]*) \| ")
+
+# A table name, which ends at its tag's '[' or at the ':'.
+_NAME_RE = re.compile(r"[^\[:]+")
+
+
+class CodeRow(NamedTuple):
+    """One canonical code line, with the path and references read off it."""
+
+    path: str
+    r: tuple[str, ...]
+    line: str
+
+
+@dataclass(frozen=True)
+class IndexLines:
+    """Canonical index text cut into lines, with only the header parsed.
+
+    ``head`` is the text up to and including the ``@CODE`` line, and
+    ``tail`` is the ``@TABLES`` section (empty when there is none).
+    ``code_entries`` holds one ``CodeRow`` per code line, in order. Like the
+    entries of an ``Index``, each row has a ``path`` and an ``r``, so
+    ``plan_update`` and ``detect_stale`` read either.
+    """
+
+    header: Header
+    head: str
+    code_entries: tuple[CodeRow, ...]
+    tail: str
+
+    def code_paths(self) -> frozenset[str]:
+        return frozenset(row.path for row in self.code_entries)
+
+    def table_names(self) -> frozenset[str]:
+        return frozenset(
+            _NAME_RE.match(line).group() for line in self.tail.split("\n")[1:-1]
+        )
+
+    def text(self) -> str:
+        """The index text: unchanged rows come out byte for byte."""
+        lines = [row.line for row in self.code_entries]
+        return self.head + ("\n".join(lines) + "\n" if lines else "") + self.tail
+
+
+def scan_index(text: str) -> IndexLines:
+    """Cut canonical index text into lines, reading only each code line's
+    path and R, and parse the header.
+
+    ``text`` must be ``serialize_index`` output: the scan relies on that
+    layout (LF line endings, one space around ``|``, no blank lines) and
+    checks nothing else, so text of unknown origin goes through
+    ``parse_index`` first. ``scan_index(serialize_index(index)).text()``
+    equals ``serialize_index(index)``.
+    """
+    lines = text.split("\n")  # the last item is the empty string after the final LF
+    code_at = lines.index("@CODE") + 1
+    tables_at = lines.index("@TABLES", code_at) if "@TABLES" in lines else len(lines) - 1
+    rows = []
+    for line in lines[code_at:tables_at]:
+        path, refs = _ROW_RE.match(line).groups()
+        rows.append(
+            CodeRow(path, () if refs == EMPTY_SENTINEL else tuple(refs.split(",")), line)
+        )
+    parser = _Parser()
+    builder = _HeaderBuilder()
+    for line_no, line in enumerate(lines[: code_at - 1], start=1):
+        _parse_directive(line, line_no, builder, parser)
+    if parser.errors:
+        raise parser.errors[0]
+    head = "\n".join(lines[:code_at]) + "\n"
+    return IndexLines(builder.build(), head, tuple(rows), "\n".join(lines[tables_at:]))
 
 
 # ---------------------------------------------------------------------------
@@ -705,9 +785,44 @@ def parse_code_entry_line(line: str, dictionary: TagDictionary) -> CodeEntry:
     return entry
 
 
+#: The ``CodeEntry`` field values of one entry line, in field order.
+CodeFields = tuple[str, str | None, DecodedTag | None, str, tuple[str, ...], str, str]
+
+
+def code_line_fields(line: str, dictionary: TagDictionary) -> CodeFields:
+    """The ``CodeEntry`` field values of an entry line, without building it.
+
+    ``CodeEntry(*fields)`` gives the entry ``parse_code_entry_line`` would;
+    a caller that changes a field first builds the entry once, not twice.
+    Only the syntax and the tag are checked here; the entry invariants run
+    when the caller constructs it.
+
+    Raises:
+        ParseError: with line number 1.
+    """
+    parser = _Parser()
+    fields = _code_line_fields(line.strip(), 1, dictionary, parser)
+    if fields is None:
+        raise parser.errors[0]
+    return fields
+
+
 def _parse_code_line(
     line: str, line_no: int, dictionary: TagDictionary, parser: _Parser
 ) -> CodeEntry | None:
+    fields = _code_line_fields(line, line_no, dictionary, parser)
+    if fields is None:
+        return None
+    try:
+        return CodeEntry(*fields)
+    except (InvariantError, InvalidPath) as exc:
+        parser.fail(line_no, 1, ParseErrorKind.MALFORMED_ENTRY, str(exc))
+        return None
+
+
+def _code_line_fields(
+    line: str, line_no: int, dictionary: TagDictionary, parser: _Parser
+) -> CodeFields | None:
     match = _ENTRY_RE.match(line)
     if not match:
         parser.fail(
@@ -767,14 +882,7 @@ def _parse_code_line(
             # A lone scale code is the residual tag form emitted by tag
             # ablation; it stays attached without a decoding.
             decoded = None
-
-    try:
-        return CodeEntry(
-            path=path_text, tag=tag, decoded=decoded, f=f_text, r=refs, a=a_text, s=s_text
-        )
-    except (InvariantError, InvalidPath) as exc:
-        parser.fail(line_no, 1, ParseErrorKind.MALFORMED_ENTRY, str(exc))
-        return None
+    return path_text, tag, decoded, f_text, refs, a_text, s_text
 
 
 def _parse_table_line(

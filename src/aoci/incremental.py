@@ -17,7 +17,12 @@ The staleness store persists one line per file, ``path\\t<content
 digest>\\t<entry digest>``, where both digests are SHA-256 hex: the first
 over the file's raw bytes, the second over the UTF-8 bytes of the entry's
 canonical line. An empty content digest marks the entry as pending
-regeneration.
+regeneration. One more line, ``\\t<index digest>\\t``, has an empty path
+field, which no file path can take: it holds the SHA-256 of the index bytes
+the last update wrote. Index bytes that match it are exactly the canonical
+text of a validated index, so an update splices the changed lines into them
+(``scan_index``, ``apply_lines``) instead of parsing every entry; any other
+bytes are parsed and validated in full first.
 """
 
 from __future__ import annotations
@@ -27,22 +32,35 @@ import hashlib
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import InvalidPath, InvariantError, PlanMismatch
-from .grammar import ParseError, ParseErrorKind, serialize_code_entry
+from .grammar import (
+    CodeFields,
+    CodeRow,
+    IndexLines,
+    ParseError,
+    ParseErrorKind,
+    code_line_fields,
+    serialize_code_entry,
+)
 from .model import (
     ChangeRecord,
     ChangeSet,
     ChangeStatus,
     CodeEntry,
     Index,
+    TagDictionary,
     canonical_path,
+    check_entry_tag,
 )
 from .tree import read_files
 from .validator import RefResolver, sans_ext
 
 _STATUS_RE = re.compile(r"^([AMD]|R\d*)$")
+
+# A code entry as the applier sees it: a CodeRow or a CodeEntry.
+_Row = TypeVar("_Row", CodeRow, CodeEntry)
 
 
 def content_digest(data: bytes) -> str:
@@ -139,7 +157,7 @@ class UpdatePlan:
         return not (self.regenerate or self.remove or self.rename_map)
 
 
-def plan_update(index: Index, changes: ChangeSet) -> UpdatePlan:
+def plan_update(index: Index | IndexLines, changes: ChangeSet) -> UpdatePlan:
     """Compute the minimal plan: entries of unchanged files are never listed
     anywhere except as rewrite hosts under a rename."""
     entry_paths = index.code_paths()
@@ -237,14 +255,20 @@ class StalenessStore:
 
     The line format is ``path\\t<hex>\\t<hex>``; either digest may be empty,
     and an empty content digest means the entry awaits regeneration.
+    ``index_digest`` is the digest of the index bytes the last update wrote,
+    kept on a line with an empty path; empty when unknown.
     """
 
-    def __init__(self, records: Mapping[str, tuple[str, str]] | None = None):
+    def __init__(
+        self, records: Mapping[str, tuple[str, str]] | None = None, index_digest: str = ""
+    ):
         self.records: dict[str, tuple[str, str]] = dict(records or {})
+        self.index_digest = index_digest
 
     @classmethod
     def load(cls, text: str) -> StalenessStore:
         records: dict[str, tuple[str, str]] = {}
+        index_digest = ""
         for line_no, raw in enumerate(text.split("\n"), start=1):
             line = raw.rstrip("\r")
             if not line.strip():
@@ -257,14 +281,19 @@ class StalenessStore:
                     ParseErrorKind.MALFORMED_CHANGE,
                     "store line must be path<TAB>digest<TAB>digest",
                 )
-            records[canonical_path(fields[0])] = (fields[1], fields[2])
-        return cls(records)
+            if fields[0]:
+                records[canonical_path(fields[0])] = (fields[1], fields[2])
+            else:
+                index_digest = fields[1]
+        return cls(records, index_digest)
 
     def dump(self) -> str:
         lines = [
             f"{path}\t{content}\t{entry}"
             for path, (content, entry) in sorted(self.records.items())
         ]
+        if self.index_digest:
+            lines.insert(0, f"\t{self.index_digest}\t")
         return "\n".join(lines) + ("\n" if lines else "")
 
     def set(self, path: str, content: str, entry: str) -> None:
@@ -288,7 +317,7 @@ class StalenessStore:
 def detect_stale(
     store: StalenessStore,
     files: Iterable[tuple[str, str]],
-    index: Index,
+    index: Index | IndexLines,
 ) -> ChangeSet:
     """Synthesize a change set by comparing file digests against the store.
 
@@ -315,12 +344,17 @@ def detect_stale(
     return ChangeSet(tuple(records))
 
 
-def apply_update(
-    index: Index,
+def apply_lines(
+    lines: IndexLines,
     plan: UpdatePlan,
     drafts: Mapping[str, CodeEntry] | None = None,
-) -> Index:
+) -> IndexLines:
     """Apply a plan, substituting supplied drafts for regenerated paths.
+
+    Only the lines of renamed entries and rewrite hosts are parsed; they and
+    the drafts are serialized anew, and every other line is kept byte for
+    byte. ``lines`` must come from ``scan_index`` over canonical text, and
+    the result's ``text()`` is ``serialize_index`` of the updated index.
 
     Regenerate paths without a draft keep their old entry text (if any);
     ``commit_plan`` marks them pending in the staleness store, and prompt
@@ -330,6 +364,58 @@ def apply_update(
     Raises:
         PlanMismatch: a draft names a path the plan does not regenerate, or
             carries an entry for a different path.
+        InvariantError: a rename or rewrite gives a path or reference the
+            entry grammar rejects, two entries end on one path, or a draft's
+            tag does not fit the header dictionary.
+    """
+    dictionary = lines.header.dictionary
+    rows = _splice(
+        lines.code_entries,
+        lambda row: code_line_fields(row.line, dictionary),
+        dictionary,
+        plan,
+        drafts,
+    )
+    return dataclasses.replace(
+        lines,
+        code_entries=tuple(
+            row if isinstance(row, CodeRow) else CodeRow(row.path, row.r, serialize_code_entry(row))
+            for row in rows
+        ),
+    )
+
+
+def apply_update(
+    index: Index,
+    plan: UpdatePlan,
+    drafts: Mapping[str, CodeEntry] | None = None,
+) -> Index:
+    """``apply_lines`` for an ``Index``: the same update and the same errors."""
+    entries = _splice(
+        index.code_entries,
+        lambda e: (e.path, e.tag, e.decoded, e.f, e.r, e.a, e.s),
+        index.header.dictionary,
+        plan,
+        drafts,
+    )
+    return Index(index.header, tuple(entries), index.table_entries)
+
+
+def _splice(
+    rows: Sequence[_Row],
+    fields_of: Callable[[_Row], CodeFields],
+    dictionary: TagDictionary,
+    plan: UpdatePlan,
+    drafts: Mapping[str, CodeEntry] | None,
+) -> list[_Row | CodeEntry]:
+    """The one applier behind ``apply_lines`` and ``apply_update``.
+
+    ``rows`` are the code entries in order, as anything with a ``path`` and
+    an ``r``. ``fields_of`` gives a row's ``CodeEntry`` fields; it is called
+    for renamed rows and rewrite hosts only, and each of them is built once
+    per change. Untouched rows come back as they are, the others as new
+    ``CodeEntry`` values. The errors are those of building an ``Index`` of
+    the result, raised in the same order.
     """
     drafts = dict(drafts or {})
     regen_set = set(plan.regenerate)
@@ -341,22 +427,26 @@ def apply_update(
     for host, old_ref, new_ref in plan.ref_rewrites:
         rewrites_by_host.setdefault(host, {})[old_ref] = new_ref
 
-    entries: list[CodeEntry] = []
+    out: list[_Row | CodeEntry] = []
     remove_set = set(plan.remove)
-    for entry in index.code_entries:
-        if entry.path in remove_set:
+    for row in rows:
+        if row.path in remove_set:
             continue
-        mapping = rewrites_by_host.get(entry.path)
-        if mapping:
-            entry = dataclasses.replace(
-                entry, r=tuple(mapping.get(ref, ref) for ref in entry.r)
-            )
-        new_path = plan.rename_map.get(entry.path)
-        if new_path is not None:
-            entry = dataclasses.replace(entry, path=new_path)
-        entries.append(entry)
+        mapping = rewrites_by_host.get(row.path)
+        new_path = plan.rename_map.get(row.path)
+        if mapping or new_path is not None:
+            path, tag, decoded, f, r, a, s = fields_of(row)
+            if mapping:
+                r = tuple(mapping.get(ref, ref) for ref in r)
+                if new_path is not None:
+                    # The rewrite is checked under the old path first, so a
+                    # rejected reference is reported before a rejected path.
+                    CodeEntry(path, tag, decoded, f, r, a, s)
+            row = CodeEntry(new_path or path, tag, decoded, f, r, a, s)
+        out.append(row)
 
-    by_path = {entry.path: i for i, entry in enumerate(entries)}
+    by_path = {row.path: i for i, row in enumerate(out)}
+    drafted: set[int] = set()
     for path in plan.regenerate:
         entry = drafts.get(path)
         if entry is None:
@@ -367,41 +457,53 @@ def apply_update(
             )
         slot = by_path.get(path)
         if slot is None:
-            by_path[path] = len(entries)
-            entries.append(entry)
+            slot = by_path[path] = len(out)
+            out.append(entry)
         else:
-            entries[slot] = entry
+            out[slot] = entry
+        drafted.add(slot)
 
-    return Index(index.header, tuple(entries), index.table_entries)
+    # The Index invariants. Kept rows, renamed or not, keep a tag that fits
+    # the dictionary, so only drafts need the tag check.
+    seen: set[str] = set()
+    for i, row in enumerate(out):
+        if row.path in seen:
+            raise InvariantError(f"duplicate code entry path: {row.path}")
+        seen.add(row.path)
+        if i in drafted:
+            check_entry_tag(row, dictionary)
+    return out
 
 
 def commit_plan(
     store: StalenessStore,
     plan: UpdatePlan,
-    updated: Index,
+    updated: IndexLines,
     file_digests: Mapping[str, str],
     drafted: Iterable[str] = (),
 ) -> None:
     """Bring the store in line with an applied plan.
 
     ``file_digests`` supplies content digests where known; regenerated paths
-    without a draft stay pending.
+    without a draft stay pending. The entry digest of a renamed or drafted
+    path is the digest of its line in ``updated``, which is ``entry_digest``
+    of the entry the line holds.
     """
-    entry_map = updated.entry_map()
+    lines = {row.path: row.line for row in updated.code_entries}
     drafted = set(drafted)
     for path in plan.remove:
         store.discard(path)
     for old, new in plan.rename_map.items():
         carried = store.get(old)
         store.discard(old)
-        entry = entry_map.get(new)
-        if entry is not None:
+        line = lines.get(new)
+        if line is not None:
             content = file_digests.get(new, carried[0] if carried else "")
-            store.set(new, content, entry_digest(entry))
+            store.set(new, content, content_digest(line.encode("utf-8")))
     for path in plan.regenerate:
-        entry = entry_map.get(path)
-        if path in drafted and entry is not None:
-            store.set(path, file_digests.get(path, ""), entry_digest(entry))
+        line = lines.get(path)
+        if path in drafted and line is not None:
+            store.set(path, file_digests.get(path, ""), content_digest(line.encode("utf-8")))
         else:
             store.mark_pending(path)
 

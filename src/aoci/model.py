@@ -89,15 +89,24 @@ def check_label(dimension: str, label: str) -> None:
         )
 
 
-def _check_text(label: str, value: str) -> None:
-    """Free-text element constraints that keep the line grammar closed."""
+def _check_text(value: str, owner: str, element: str) -> None:
+    """Free-text element constraints that keep the line grammar closed.
+
+    An error names the value as ``<owner>: <element>``; that label is only
+    built when a check fails.
+    """
     if "|" in value or "\n" in value or "\r" in value:
-        raise InvariantError(f"{label} may not contain '|' or line breaks: {value!r}")
+        raise InvariantError(
+            f"{owner}: {element} may not contain '|' or line breaks: {value!r}"
+        )
     if value != value.strip():
-        raise InvariantError(f"{label} has leading or trailing whitespace: {value!r}")
+        raise InvariantError(
+            f"{owner}: {element} has leading or trailing whitespace: {value!r}"
+        )
     if value == EMPTY_SENTINEL:
         raise InvariantError(
-            f"{label} may not be the literal {EMPTY_SENTINEL!r}; use the empty string"
+            f"{owner}: {element} may not be the literal {EMPTY_SENTINEL!r}; "
+            "use the empty string"
         )
 
 
@@ -251,8 +260,9 @@ class CodeEntry:
                 raise InvariantError(
                     f"{self.path}: R reference {ref!r} contains whitespace, '|' or ','"
                 )
-        for label, value in (("F", self.f), ("A", self.a), ("S", self.s)):
-            _check_text(f"{self.path}: element {label}", value)
+        _check_text(self.f, self.path, "element F")
+        _check_text(self.a, self.path, "element A")
+        _check_text(self.s, self.path, "element S")
 
 
 @dataclass(frozen=True)
@@ -283,7 +293,7 @@ class TableEntry:
             )
         if not self.has_tag and self.features:
             raise InvariantError(f"table {self.name}: features require a full tag")
-        _check_text(f"table {self.name}: fields", self.fields_text)
+        _check_text(self.fields_text, f"table {self.name}", "fields")
 
     @property
     def has_tag(self) -> bool:
@@ -335,6 +345,36 @@ class ChangeSet:
         return len(self.records)
 
 
+def check_entry_tag(entry: CodeEntry, dictionary: TagDictionary) -> None:
+    """Raise InvariantError unless the entry's tag fits ``dictionary``.
+
+    The attached decoding must be the tag's decoding; an undecoded tag must
+    be a single scale code.
+    """
+    if entry.tag is None:
+        return
+    if entry.decoded is not None:
+        # A decoding that is the dictionary's own memoised one (as every
+        # parsed entry's is) needs no second decode.
+        if dictionary._decode_memo.get(entry.tag) is entry.decoded:
+            return
+        # Import here: grammar owns the tag codec and imports this module.
+        from .grammar import decode_tag
+
+        if decode_tag(entry.tag, dictionary) != entry.decoded:
+            raise InvariantError(
+                f"{entry.path}: attached decoding does not match tag "
+                f"{entry.tag!r} under the header dictionary"
+            )
+    elif entry.tag not in dictionary.dim_e:
+        # The one undecoded form the grammar admits: a residual tag holding
+        # a single scale code, as produced by tag ablation.
+        raise InvariantError(
+            f"{entry.path}: tag {entry.tag!r} neither decodes nor is a "
+            f"single scale code"
+        )
+
+
 @dataclass(frozen=True)
 class Index:
     """A full AOCI document: header, code entries, table entries, in order."""
@@ -346,34 +386,13 @@ class Index:
     def __post_init__(self):
         object.__setattr__(self, "code_entries", tuple(self.code_entries))
         object.__setattr__(self, "table_entries", tuple(self.table_entries))
-        # Import here: grammar owns the tag codec and imports this module.
-        from .grammar import decode_tag
-
         dictionary = self.header.dictionary
         seen_paths = set()
         for entry in self.code_entries:
             if entry.path in seen_paths:
                 raise InvariantError(f"duplicate code entry path: {entry.path}")
             seen_paths.add(entry.path)
-            if entry.tag is None:
-                continue
-            if entry.decoded is not None:
-                # A decoding that is the dictionary's own memoised one (as
-                # every parsed entry's is) needs no second decode.
-                if dictionary._decode_memo.get(entry.tag) is entry.decoded:
-                    continue
-                if decode_tag(entry.tag, dictionary) != entry.decoded:
-                    raise InvariantError(
-                        f"{entry.path}: attached decoding does not match tag "
-                        f"{entry.tag!r} under the header dictionary"
-                    )
-            elif entry.tag not in dictionary.dim_e:
-                # The one undecoded form the grammar admits: a residual tag
-                # holding a single scale code, as produced by tag ablation.
-                raise InvariantError(
-                    f"{entry.path}: tag {entry.tag!r} neither decodes nor is a "
-                    f"single scale code"
-                )
+            check_entry_tag(entry, dictionary)
         seen_names = set()
         for table in self.table_entries:
             if table.name in seen_names:

@@ -238,6 +238,61 @@ def make_index(
 
 
 # ---------------------------------------------------------------------------
+# The object-level applier the line-level one must agree with
+# ---------------------------------------------------------------------------
+
+
+def reference_apply_update(index: Index, plan, drafts=None) -> Index:
+    """Apply an update plan entry by entry: every entry is an object, and the
+    result is checked by building an ``Index``. The differential tests hold
+    ``incremental.apply_lines`` to this, output and errors alike."""
+    import dataclasses
+
+    from aoci.errors import PlanMismatch
+
+    drafts = dict(drafts or {})
+    regen_set = set(plan.regenerate)
+    stray = set(drafts) - regen_set
+    if stray:
+        raise PlanMismatch(f"drafts supplied for unplanned paths: {sorted(stray)}")
+
+    rewrites_by_host: dict[str, dict[str, str]] = {}
+    for host, old_ref, new_ref in plan.ref_rewrites:
+        rewrites_by_host.setdefault(host, {})[old_ref] = new_ref
+
+    entries: list[CodeEntry] = []
+    remove_set = set(plan.remove)
+    for entry in index.code_entries:
+        if entry.path in remove_set:
+            continue
+        mapping = rewrites_by_host.get(entry.path)
+        if mapping:
+            entry = dataclasses.replace(
+                entry, r=tuple(mapping.get(ref, ref) for ref in entry.r)
+            )
+        new_path = plan.rename_map.get(entry.path)
+        if new_path is not None:
+            entry = dataclasses.replace(entry, path=new_path)
+        entries.append(entry)
+
+    by_path = {entry.path: i for i, entry in enumerate(entries)}
+    for path in plan.regenerate:
+        entry = drafts.get(path)
+        if entry is None:
+            continue
+        if entry.path != path:
+            raise PlanMismatch(f"draft for {path} carries entry path {entry.path}")
+        slot = by_path.get(path)
+        if slot is None:
+            by_path[path] = len(entries)
+            entries.append(entry)
+        else:
+            entries[slot] = entry
+
+    return Index(index.header, tuple(entries), index.table_entries)
+
+
+# ---------------------------------------------------------------------------
 # Tree walks: one awkward tree and a brute-force reading of the walk rule
 # ---------------------------------------------------------------------------
 

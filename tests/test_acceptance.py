@@ -451,3 +451,88 @@ def test_scale_parse_20k_entries(monkeypatch):
         f"scale PASS: 20,000 entries ({len(set(tags))} distinct tags) parsed and "
         f"validated in {elapsed:.2f}s"
     )
+
+
+def test_update_with_a_matching_digest_builds_only_touched_entries(tmp_path, monkeypatch):
+    """Counted, not timed: ``update`` on the index its store's digest record
+    names never parses the whole index, and builds a ``CodeEntry`` only for
+    the renamed rows, the rewrite hosts and the drafts."""
+    from aoci import cli, grammar
+    from aoci.incremental import StalenessStore, content_digest, parse_changeset
+    from conftest import reference_apply_update
+
+    n = 20_000
+    rng = random.Random(40)
+    dictionary = make_reference_dictionary()
+    paths = [f"pkg{i // 20}/mod{i}.go" for i in range(n)]
+    tags = [make_decoded(rng, dictionary, with_scale=True) for _ in range(50)]
+    entries = []
+    for i, path in enumerate(paths):
+        decoded = tags[i % len(tags)]
+        refs = (paths[(i * 7 + 1) % n], f"pkg{(i * 3) % (n // 20)}")
+        entries.append(
+            CodeEntry(path, encode_tag(decoded), decoded, f"module {i}", refs, "", "synopsis")
+        )
+    index = Index(Header(project="scale", dictionary=dictionary), tuple(entries))
+    data = serialize_index(index).encode("utf-8")
+    index_path, store_path = tmp_path / "idx.aoci", tmp_path / "store.tsv"
+    index_path.write_bytes(data)
+    store_path.write_text(StalenessStore(index_digest=content_digest(data)).dump())
+
+    picked = rng.sample(range(n), 35)
+    renamed, modified, deleted = picked[:10], picked[10:30], picked[30:]
+    listing = (
+        [f"R100\t{paths[j]}\t{paths[j][:-3]}_moved.go" for j in renamed]
+        + [f"M\t{paths[j]}" for j in modified]
+        + [f"D\t{paths[j]}" for j in deleted]
+        + [f"A\tnew/file{k}.go" for k in range(5)]
+    )
+    (tmp_path / "changes.txt").write_text("\n".join(listing) + "\n")
+    draft_dir = tmp_path / "drafts"
+    draft_dir.mkdir()
+    draft_lines = [
+        f"{path}[{encode_tag(tags[0])}]: F:drafted | R:{paths[0]} | A:- | S:new text"
+        for path in [paths[j] for j in modified] + [f"new/file{k}.go" for k in range(5)]
+    ]
+    for k, line in enumerate(draft_lines):
+        (draft_dir / f"{k}.entry.txt").write_text(line + "\n")
+
+    changes = parse_changeset("\n".join(listing))
+    plan = plan_update(index, changes)
+    drafts = {e.path: e for e in (parse_code_entry_line(l, dictionary) for l in draft_lines)}
+    expected = serialize_index(reference_apply_update(index, plan, drafts)).encode("utf-8")
+    hosts = {host for host, _, _ in plan.ref_rewrites}
+    assert len(hosts) >= 10
+
+    full_parses = []
+    constructed = 0
+    post_init = CodeEntry.__post_init__
+
+    def counting_post_init(self):
+        nonlocal constructed
+        constructed += 1
+        post_init(self)
+
+    def refused_parse(data):
+        full_parses.append(len(data))
+        raise AssertionError("the whole index was parsed")
+
+    monkeypatch.setattr(grammar, "parse_index", refused_parse)
+    monkeypatch.setattr(cli, "parse_index", refused_parse)
+    monkeypatch.setattr(CodeEntry, "__post_init__", counting_post_init)
+    monkeypatch.chdir(tmp_path)
+    code = cli.run(
+        ["update", "idx.aoci", "--changes", "changes.txt", "--drafts", "drafts",
+         "--store", "store.tsv"]
+    )
+    monkeypatch.undo()
+
+    assert code == 0
+    assert full_parses == []
+    budget = len(renamed) + len(hosts) + len(draft_lines)
+    assert constructed <= budget, f"{constructed} entries built, budget {budget}"
+    assert index_path.read_bytes() == expected
+    print(
+        f"incremental PASS: 40-record listing over 20,000 entries built {constructed} "
+        f"entries ({len(renamed)} renamed, {len(hosts)} hosts, {len(draft_lines)} drafts)"
+    )

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import FIXTURES
 from aoci.cli import run
-from aoci.grammar import parse_index, serialize_code_entry
+from aoci.grammar import parse_index, serialize_code_entry, serialize_index
 from aoci.incremental import StalenessStore, content_digest, entry_digest
 
 GOLDEN = FIXTURES / "listing1.aoci"
@@ -462,6 +462,174 @@ def test_update_cli_refuses_locked_index(tmp_path, golden_copy, capsys):
         fcntl.flock(holder, fcntl.LOCK_EX)
         assert run(["update", str(golden_copy), "--changes", str(changes)]) == 3
     assert "locked" in capsys.readouterr().err
+
+
+def test_update_cli_holds_the_lock_from_reading_to_the_store_write(
+    tmp_path, golden_copy, monkeypatch
+):
+    import fcntl
+    import pathlib
+
+    from aoci import cli
+
+    changes = tmp_path / "changes.txt"
+    changes.write_text("D\tconfig.yaml\n", encoding="utf-8")
+    store = tmp_path / "s.tsv"
+    probes = []
+
+    def probe(when):
+        with open(golden_copy, "rb") as other:
+            try:
+                fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                probes.append((when, "refused"))
+            else:
+                fcntl.flock(other, fcntl.LOCK_UN)
+                probes.append((when, "granted"))
+
+    read_bytes, write_text = cli._read_bytes, pathlib.Path.write_text
+
+    def probing_read(path):
+        probe("index read")
+        return read_bytes(path)
+
+    def probing_write(self, *args, **kwargs):
+        if self == store:
+            probe("store write")
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_read_bytes", probing_read)
+    monkeypatch.setattr(pathlib.Path, "write_text", probing_write)
+    args = ["update", str(golden_copy), "--changes", str(changes), "--store", str(store)]
+    assert run(args) == 0
+    assert probes == [("index read", "refused"), ("store write", "refused")]
+
+
+def _update_with_store(index, store, tmp_path, listing, drafts=()):
+    """Run ``update --changes --store`` with ``drafts`` as entry lines."""
+    changes = tmp_path / "changes.txt"
+    changes.write_text(listing, encoding="utf-8")
+    draft_dir = tmp_path / "drafts"
+    draft_dir.mkdir(exist_ok=True)
+    for old in draft_dir.iterdir():
+        old.unlink()
+    for i, line in enumerate(drafts):
+        (draft_dir / f"{i}.entry.txt").write_text(line + "\n", encoding="utf-8")
+    return run(
+        ["update", str(index), "--changes", str(changes), "--store", str(store),
+         "--drafts", str(draft_dir)]
+    )
+
+
+def _record_full_parses(monkeypatch) -> list[int]:
+    """The size of every index ``update`` parses in full, from now on."""
+    from aoci import cli
+
+    calls = []
+    parse = cli.parse_index
+
+    def recording_parse(data):
+        calls.append(len(data))
+        return parse(data)
+
+    monkeypatch.setattr(cli, "parse_index", recording_parse)
+    return calls
+
+
+def test_update_cli_keeps_a_valid_hand_edit_in_canonical_form(
+    tmp_path, golden_copy, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    store = tmp_path / "s.tsv"
+    assert _update_with_store(golden_copy, store, tmp_path, "M\tconfig.yaml\n") == 0
+    # Extra spaces around every '|' and a new synopsis for org_repo.go.
+    edited = golden_copy.read_text(encoding="utf-8").replace(" | ", "  |  ").replace(
+        "Delete cascading cleanup", "Delete cascading cleanup, edited by hand"
+    )
+    golden_copy.write_text(edited, encoding="utf-8")
+    parses = _record_full_parses(monkeypatch)
+
+    assert _update_with_store(golden_copy, store, tmp_path, "M\tauth.go\n") == 0
+    assert len(parses) == 1
+    data = golden_copy.read_bytes()
+    text = data.decode("utf-8")
+    assert text == serialize_index(parse_index(edited))
+    assert "Delete cascading cleanup, edited by hand\n" in text and "  |  " not in text
+    stored = StalenessStore.load(store.read_text(encoding="utf-8"))
+    assert stored.index_digest == content_digest(data)
+
+
+def test_update_cli_malformed_hand_edit_fails_as_before_and_writes_nothing(
+    tmp_path, golden_copy, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    store = tmp_path / "s.tsv"
+    assert _update_with_store(golden_copy, store, tmp_path, "M\tauth.go\n") == 0
+    capsys.readouterr()
+    golden_copy.write_text(
+        golden_copy.read_text(encoding="utf-8").replace(" | A:- | S:DB/Redis", " A:- | S:DB/Redis"),
+        encoding="utf-8",
+    )
+    index_before, store_before = golden_copy.read_bytes(), store.read_bytes()
+
+    assert _update_with_store(golden_copy, store, tmp_path, "M\tauth.go\n") == 1
+    assert capsys.readouterr().err == (
+        "error: line 18, column 20: expected four |-separated elements, found 3\n"
+    )
+    assert golden_copy.read_bytes() == index_before
+    assert store.read_bytes() == store_before
+
+
+def test_update_cli_fast_and_slow_paths_agree(tmp_path, golden_copy, monkeypatch, capsys):
+    """The same rounds with and without the store's digest record: the same
+    index bytes, the same store, the same messages."""
+    monkeypatch.chdir(tmp_path)
+    slow_index = tmp_path / "slow.aoci"
+    slow_index.write_bytes(golden_copy.read_bytes())
+    fast_store, slow_store = tmp_path / "fast.tsv", tmp_path / "slow.tsv"
+    rounds = [
+        ("M\tauth.go\nM\tconfig.yaml\n", ()),
+        (
+            "R100\tmodel/user/user.go\tmodel/account/user.go\nM\tauth.go\n",
+            ("auth.go[WA9JM]: F:JWT middleware | R:pkg/jwt,model/account | A:- | "
+             "S:drafted after the user model moved to the account package",),
+        ),
+        ("D\torg_repo.go\nA\tpkg/new.go\n", ("pkg/new.go: F:new | R:auth.go | A:- | S:added",)),
+        ("R100\tauth.go\tmiddleware/auth.go\n", ()),
+    ]
+    parses = _record_full_parses(monkeypatch)
+    for listing, drafts in rounds:
+        assert _update_with_store(golden_copy, fast_store, tmp_path, listing, drafts) == 0
+        fast_err = capsys.readouterr().err
+        assert _update_with_store(slow_index, slow_store, tmp_path, listing, drafts) == 0
+        assert capsys.readouterr().err == fast_err
+        assert golden_copy.read_bytes() == slow_index.read_bytes()
+        assert slow_store.read_bytes() == fast_store.read_bytes()
+        record = f"\t{content_digest(golden_copy.read_bytes())}\t\n"
+        # Drop the slow side's record so its next round validates in full.
+        slow_text = slow_store.read_text(encoding="utf-8")
+        assert slow_text.startswith(record)
+        slow_store.write_text(slow_text[len(record):], encoding="utf-8")
+    # The fast side parsed in full only on its first round, the slow side on
+    # every round.
+    assert len(parses) == 1 + len(rounds)
+
+
+def test_update_cli_store_without_digest_record_takes_the_full_parse(
+    tmp_path, golden_copy, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    store = tmp_path / "s.tsv"
+    store.write_text("auth.go\tc0\te0\n", encoding="utf-8")
+    parses = _record_full_parses(monkeypatch)
+    assert _update_with_store(golden_copy, store, tmp_path, "M\tconfig.yaml\n") == 0
+    assert len(parses) == 1
+    stored = StalenessStore.load(store.read_text(encoding="utf-8"))
+    assert stored.index_digest == content_digest(golden_copy.read_bytes())
+    assert stored.get("auth.go") == ("c0", "e0")
+    # With the record in place, the next run only scans.
+    assert _update_with_store(golden_copy, store, tmp_path, "M\tconfig.yaml\n") == 0
+    assert len(parses) == 1
 
 
 def test_usage_and_io_exit_codes(tmp_path, capsys):

@@ -32,11 +32,12 @@ from aoci.grammar import (
     parse_code_entry_line,
     parse_index,
     parse_index_report,
+    scan_index,
     serialize_code_entry,
     serialize_index,
     serialize_table_entry,
 )
-from aoci.model import CodeEntry, TableEntry, TagDictionary
+from aoci.model import CodeEntry, Header, Index, TableEntry, TagDictionary
 
 
 # ---------------------------------------------------------------------------
@@ -375,3 +376,43 @@ def test_parser_never_crashes_on_bytes(data):
     except ParseError as exc:
         assert exc.line_number >= 1
         assert exc.column >= 1
+
+
+# ---------------------------------------------------------------------------
+# Scanning canonical text
+# ---------------------------------------------------------------------------
+
+
+@given(st.integers(0, 2**32), st.integers(0, 12), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_scan_index_reads_canonical_text(seed, n_entries, n_tables):
+    rng = random.Random(seed)
+    index = make_index(rng, n_entries, clean_refs=True, tables=n_tables)
+    text = serialize_index(index)
+    lines = scan_index(text)
+    assert lines.text() == text
+    assert lines.header == index.header
+    assert [(row.path, row.r) for row in lines.code_entries] == [
+        (entry.path, entry.r) for entry in index.code_entries
+    ]
+    assert [row.line for row in lines.code_entries] == [
+        serialize_code_entry(entry) for entry in index.code_entries
+    ]
+    assert lines.code_paths() == index.code_paths()
+    assert lines.table_names() == index.table_names()
+
+
+def test_scan_index_reads_untagged_and_residual_lines(reference_dictionary):
+    text = (
+        serialize_index(Index(Header(dictionary=reference_dictionary)))
+        + "x: F:- | R:- | A:- | S:-\n"
+        + "y/z.go[M]: F:a: b | R:-x,d | A:- | S:-\n"
+        + "@TABLES\n"
+        + USERS_TABLE_LINE
+        + "\n"
+    )
+    assert serialize_index(parse_index(text)) == text
+    lines = scan_index(text)
+    assert [(row.path, row.r) for row in lines.code_entries] == [("x", ()), ("y/z.go", ("-x", "d"))]
+    assert lines.text() == text
+    assert lines.table_names() == frozenset({"users"})

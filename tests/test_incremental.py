@@ -13,12 +13,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import UNREADABLE, WALK_GLOB_SETS, make_index, make_walk_tree, reference_walk
+from conftest import (
+    UNREADABLE,
+    WALK_GLOB_SETS,
+    make_index,
+    make_reference_dictionary,
+    make_walk_tree,
+    reference_apply_update,
+    reference_walk,
+)
 from aoci import incremental, scaffold, tree
-from aoci.errors import PlanMismatch
-from aoci.grammar import ParseError, parse_code_entry_line, serialize_index
+from aoci.errors import InvariantError, PlanMismatch
+from aoci.grammar import (
+    ParseError,
+    code_line_fields,
+    decode_table_tag,
+    decode_tag,
+    parse_code_entry_line,
+    parse_index,
+    scan_index,
+    serialize_index,
+)
 from aoci.incremental import (
     StalenessStore,
+    UpdatePlan,
+    apply_lines,
     apply_update,
     collect_file_digests,
     commit_plan,
@@ -28,7 +47,16 @@ from aoci.incremental import (
     parse_changeset,
     plan_update,
 )
-from aoci.model import ChangeRecord, ChangeSet, ChangeStatus, Header, Index
+from aoci.model import (
+    ChangeRecord,
+    ChangeSet,
+    ChangeStatus,
+    CodeEntry,
+    DecodedTag,
+    Header,
+    Index,
+    TableEntry,
+)
 from aoci.validator import validate_index
 
 
@@ -182,7 +210,7 @@ def test_apply_without_draft_keeps_old_text_and_marks_pending(listing_index):
     plan = plan_update(listing_index, parse_changeset("M\tauth.go"))
     updated = apply_update(listing_index, plan)
     assert updated == listing_index
-    commit_plan(store, plan, updated, {}, drafted=[])
+    commit_plan(store, plan, scan_index(serialize_index(updated)), {}, drafted=[])
     assert store.get("auth.go") == ("", "")
 
 
@@ -323,13 +351,13 @@ def test_store_commit_cycle(listing_index, reference_dictionary, tmp_path):
     )
     plan = plan_update(listing_index, changes)
     updated = apply_update(listing_index, plan, {"auth.go": draft})
-    commit_plan(store, plan, updated, digests, drafted=["auth.go"])
+    commit_plan(store, plan, scan_index(serialize_index(updated)), digests, drafted=["auth.go"])
     assert detect_stale(store, sorted(digests.items()), updated).records == ()
 
     # Without a draft the path stays pending: detection keeps flagging it.
     plan2 = plan_update(updated, parse_changeset("M\tconfig.yaml"))
     updated2 = apply_update(updated, plan2)
-    commit_plan(store, plan2, updated2, digests, drafted=[])
+    commit_plan(store, plan2, scan_index(serialize_index(updated2)), digests, drafted=[])
     records = detect_stale(store, sorted(digests.items()), updated2).records
     assert records == (ChangeRecord(ChangeStatus.MODIFIED, "config.yaml"),)
 
@@ -360,3 +388,205 @@ def test_collect_file_digests_opens_each_file_once(tmp_path, monkeypatch):
     digests = collect_file_digests(tmp_path)
     assert len(digests) == 8
     assert opened == collections.Counter([path for path, _ in digests] + [UNREADABLE])
+
+
+def test_store_round_trip_with_index_digest():
+    store = StalenessStore({"b.go": ("c1", "e1")}, index_digest="f00d")
+    text = store.dump()
+    assert text == "\tf00d\t\nb.go\tc1\te1\n"
+    loaded = StalenessStore.load(text)
+    assert loaded.records == store.records
+    assert loaded.index_digest == "f00d"
+    assert loaded.paths() == frozenset({"b.go"})
+    assert loaded.dump() == text
+    assert StalenessStore.load("b.go\tc1\te1\n").index_digest == ""
+
+
+# ---------------------------------------------------------------------------
+# The line-level applier against the object-level oracle
+# ---------------------------------------------------------------------------
+
+_POOL = ("a.go", "b.go", "c.py", "d/e.go", "d/f", "g")
+# Where a change may point: the pool, new paths, and a path the entry
+# grammar rejects (it holds a space).
+_TARGETS = _POOL + ("h.go", "d/i.go", "x y.go")
+# References: exact paths, paths without extension, a directory, the table
+# and a dangling name.
+_REFS = _POOL + ("a", "b", "c", "d/e", "d", "users", "gone")
+_TEXT = st.sampled_from(("", "role", "cache layer", "x"))
+
+
+def _noncanonical(text: str) -> str:
+    """The same index with extra spaces around ``|`` and CRLF line ends."""
+    return text.replace(" | ", "  |  ").replace("\n", "\r\n")
+
+
+def _outcome(action):
+    """What ``action`` returns, or the type and message of what it raises."""
+    try:
+        return action()
+    except Exception as exc:  # every failure is compared, whatever its type
+        return type(exc), str(exc)
+
+
+@st.composite
+def _update_cases(draw):
+    dictionary = make_reference_dictionary()
+    tags = {
+        "decoded": ("WA9JM", decode_tag("WA9JM", dictionary)),
+        "scale": ("M", None),
+        "none": (None, None),
+    }
+
+    def entry(path, refs=st.lists(st.sampled_from(_REFS), unique=True, max_size=3)):
+        tag, decoded = tags[draw(st.sampled_from(sorted(tags)))]
+        return CodeEntry(
+            path, tag, decoded, draw(_TEXT), tuple(draw(refs)), draw(_TEXT), draw(_TEXT)
+        )
+
+    paths = draw(st.lists(st.sampled_from(_POOL), unique=True, max_size=len(_POOL)))
+    tables = ()
+    if draw(st.booleans()):
+        tables = (TableEntry("users", *decode_table_tag("U-M-M-GUID", dictionary), "rows"),)
+    index = Index(
+        Header(project="p", dictionary=dictionary), tuple(entry(p) for p in paths), tables
+    )
+
+    records = {}
+    for status, path, new_path in draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from("AMDRRR"), st.sampled_from(_TARGETS), st.sampled_from(_TARGETS)
+            ),
+            max_size=6,
+        )
+    ):
+        if path in records or (status == "R" and new_path == path):
+            continue
+        records[path] = ChangeRecord(
+            ChangeStatus(status), path, new_path if status == "R" else None
+        )
+
+    # Drafts mostly for the paths the plan regenerates, so most plans apply;
+    # a few carry the wrong path or decoding, and some name another path.
+    regenerated = {
+        rec.path if rec.new_path is None else rec.new_path
+        for rec in records.values()
+        if rec.status in (ChangeStatus.ADDED, ChangeStatus.MODIFIED)
+        or (rec.status is ChangeStatus.RENAMED and rec.path not in paths)
+    }
+    named = sorted(regenerated - {"x y.go"}) + ["g"] * draw(st.integers(0, 1))
+    drafts = {}
+    for path in draw(st.lists(st.sampled_from(named), unique=True, max_size=4)) if named else ():
+        kind = draw(st.sampled_from(("good",) * 6 + ("other path", "wrong decoding")))
+        if kind == "other path":
+            drafts[path] = entry("z.go")
+        elif kind == "wrong decoding":
+            drafts[path] = CodeEntry(path, "WA9JM", DecodedTag("W", "A", 9, ("J",)), "f")
+        else:
+            drafts[path] = entry(path)
+    return index, ChangeSet(tuple(records.values())), drafts
+
+
+@given(_update_cases())
+@settings(max_examples=400, deadline=None)
+def test_apply_lines_matches_the_object_level_oracle(case):
+    index, changes, drafts = case
+    text = serialize_index(index)
+    fast = scan_index(text)
+    slow = scan_index(serialize_index(parse_index(_noncanonical(text))))
+    assert slow.text() == fast.text() == text
+
+    plan = _outcome(lambda: plan_update(index, changes))
+    assert _outcome(lambda: plan_update(fast, changes)) == plan
+    assert _outcome(lambda: plan_update(slow, changes)) == plan
+    if not isinstance(plan, UpdatePlan):
+        return
+    want = _outcome(lambda: serialize_index(reference_apply_update(index, plan, drafts)))
+    assert _outcome(lambda: apply_lines(fast, plan, drafts).text()) == want
+    assert _outcome(lambda: apply_lines(slow, plan, drafts).text()) == want
+    assert _outcome(lambda: serialize_index(apply_update(index, plan, drafts))) == want
+
+
+def _entry(line: str) -> CodeEntry:
+    return parse_code_entry_line(line, make_reference_dictionary())
+
+
+@pytest.mark.parametrize(
+    "listing, drafts, error",
+    [
+        pytest.param(
+            "M\ta.go",
+            {"h.go": "h.go: F:x | R:- | A:- | S:y"},
+            (PlanMismatch, "drafts supplied for unplanned paths: ['h.go']"),
+            id="stray draft",
+        ),
+        pytest.param(
+            "M\ta.go",
+            {"a.go": "z.go: F:x | R:- | A:- | S:y"},
+            (PlanMismatch, "draft for a.go carries entry path z.go"),
+            id="draft path mismatch",
+        ),
+        pytest.param(
+            "R100\ta.go\tb.go",
+            {},
+            (InvariantError, "duplicate code entry path: b.go"),
+            id="rename onto an existing path",
+        ),
+        pytest.param(
+            "R100\tc.go\tx y.go",
+            {},
+            (
+                InvariantError,
+                "path 'x y.go' contains characters the entry grammar reserves: [' ']",
+            ),
+            id="rename to a path the grammar rejects",
+        ),
+        pytest.param(
+            "R100\ta.go\tp q.go\nR100\tb.go\tr s.go",
+            {},
+            (InvariantError, "a.go: R reference 'r s.go' contains whitespace, '|' or ','"),
+            id="a rejected reference before a rejected path",
+        ),
+    ],
+)
+def test_apply_lines_raises_what_the_oracle_raises(listing, drafts, error):
+    index = Index(
+        Header(dictionary=make_reference_dictionary()),
+        (
+            _entry("a.go[WA9JM]: F:a | R:b.go | A:- | S:first"),
+            _entry("b.go: F:b | R:a | A:- | S:second"),
+            _entry("c.go[M]: F:c | R:a.go,b | A:- | S:third"),
+        ),
+    )
+    plan = plan_update(index, parse_changeset(listing))
+    draft_entries = {path: _entry(line) for path, line in drafts.items()}
+    lines = scan_index(serialize_index(index))
+    assert _outcome(lambda: reference_apply_update(index, plan, draft_entries)) == error
+    assert _outcome(lambda: apply_lines(lines, plan, draft_entries)) == error
+    assert _outcome(lambda: apply_update(index, plan, draft_entries)) == error
+
+
+def test_apply_lines_parses_only_the_touched_lines(monkeypatch):
+    index = Index(
+        Header(dictionary=make_reference_dictionary()),
+        tuple(_entry(f"m{i}.go: F:m | R:m{i + 1}.go | A:- | S:s") for i in range(50)),
+    )
+    lines = scan_index(serialize_index(index))
+    plan = plan_update(lines, parse_changeset("R100\tm10.go\tn10.go\nD\tm20.go\nM\tm30.go"))
+    parsed = []
+    monkeypatch.setattr(
+        incremental,
+        "code_line_fields",
+        lambda line, dictionary: parsed.append(line) or code_line_fields(line, dictionary),
+    )
+    draft = _entry("m30.go: F:new | R:- | A:- | S:s")
+    updated = apply_lines(lines, plan, {"m30.go": draft})
+    # The renamed line and its one rewrite host, m9.go; nothing else.
+    assert parsed == [lines.code_entries[9].line, lines.code_entries[10].line]
+    # The other 46 rows are the scanned ones, line strings and all.
+    old_rows = {id(row) for row in lines.code_entries}
+    assert sum(id(row) in old_rows for row in updated.code_entries) == 46
+    assert updated.text() == serialize_index(
+        reference_apply_update(index, plan, {"m30.go": draft})
+    )

@@ -80,6 +80,28 @@ def test_code_entry_rejects_grammar_breaking_text(text):
         CodeEntry(path="a.go", s=text)
 
 
+@pytest.mark.parametrize("element", ["F", "A", "S"])
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("x|y", "src/a.go: element {} may not contain '|' or line breaks: 'x|y'"),
+        (" x", "src/a.go: element {} has leading or trailing whitespace: ' x'"),
+        ("x ", "src/a.go: element {} has leading or trailing whitespace: 'x '"),
+        ("-", "src/a.go: element {} may not be the literal '-'; use the empty string"),
+    ],
+)
+def test_code_entry_text_errors_name_the_element(element, value, message):
+    with pytest.raises(InvariantError) as excinfo:
+        CodeEntry(path="./src/a.go", **{element.lower(): value})
+    assert str(excinfo.value) == message.format(element)
+
+
+def test_table_fields_error_names_the_table():
+    with pytest.raises(InvariantError) as excinfo:
+        TableEntry("users", fields_text="a|b")
+    assert str(excinfo.value) == "table users: fields may not contain '|' or line breaks: 'a|b'"
+
+
 def test_decoded_requires_tag():
     decoded = DecodedTag("W", "A", 9)
     with pytest.raises(InvariantError):
