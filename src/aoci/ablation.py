@@ -45,20 +45,21 @@ def apply_ablation(
 
 
 def _ablate_entry(entry: CodeEntry, variant: AblationVariant) -> CodeEntry:
+    # The constructor, not dataclasses.replace: it runs the same checks
+    # without looking the fields up again for every entry.
+    path, f, r, a, s = entry.path, entry.f, entry.r, entry.a, entry.s
     if variant is AblationVariant.WO_ABCDE:
-        return dataclasses.replace(entry, tag=None, decoded=None)
+        return CodeEntry(path, None, None, f, r, a, s)
     if variant is AblationVariant.WO_ABCD:
         if entry.decoded is None:
             # Already tagless, or already reduced to a residual scale tag.
             return entry
-        if entry.decoded.scale is None:
-            return dataclasses.replace(entry, tag=None, decoded=None)
-        return dataclasses.replace(entry, tag=entry.decoded.scale, decoded=None)
+        return CodeEntry(path, entry.decoded.scale, None, f, r, a, s)
     if variant is AblationVariant.WO_R:
-        return dataclasses.replace(entry, r=())
+        return CodeEntry(path, entry.tag, entry.decoded, f, (), a, s)
     if variant is AblationVariant.WO_S:
-        return dataclasses.replace(entry, s="")
-    return dataclasses.replace(entry, f="", r=(), a="", s="")
+        return CodeEntry(path, entry.tag, entry.decoded, f, r, a, "")
+    return CodeEntry(path, entry.tag, entry.decoded, "", (), "", "")
 
 
 def _strip_table_tag(table: TableEntry) -> TableEntry:

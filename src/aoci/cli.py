@@ -32,7 +32,6 @@ import sys
 from enum import IntEnum
 from pathlib import Path
 
-from . import incremental, scaffold
 from .ablation import AblationVariant, apply_ablation
 from .errors import AociError, ConfigError, TagError
 from .grammar import (
@@ -272,6 +271,8 @@ def _cmd_fmt(args: argparse.Namespace) -> ExitCode:
 
 
 def _cmd_scaffold(args: argparse.Namespace) -> ExitCode:
+    from . import scaffold
+
     rules = scaffold.parse_rules_file(_read_text(args.rules))
     result = scaffold.scaffold_repo(args.root, rules)
     for warning in result.warnings:
@@ -309,6 +310,8 @@ def _update_input(path: str, known_digest: str) -> IndexLines:
     Any other bytes are parsed and validated in full, then scanned in
     canonical form.
     """
+    from . import incremental
+
     data = _read_bytes(path)
     if known_digest and known_digest == incremental.content_digest(data):
         return scan_index(data.decode("utf-8"))
@@ -316,6 +319,8 @@ def _update_input(path: str, known_digest: str) -> IndexLines:
 
 
 def _cmd_update(args: argparse.Namespace) -> ExitCode:
+    from . import incremental, tree
+
     if args.detect and not args.store:
         raise ConfigError("--detect requires --store")
     if args.detect and args.changes:
@@ -345,11 +350,14 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
             if store is not None:
                 # Digest the touched files so the store records their current
                 # content; files that are gone simply stay undigested.
-                for record in changes.records:
-                    for path in (record.path, record.new_path):
-                        if path and os.path.isfile(path):
-                            with open(path, "rb") as handle:
-                                file_digests[path] = incremental.content_digest(handle.read())
+                touched = [
+                    path
+                    for record in changes.records
+                    for path in (record.path, record.new_path)
+                    if path
+                ]
+                for path, _, data in tree.read_paths(os.getcwd(), touched):
+                    file_digests[path] = incremental.content_digest(data)
 
         drafts: dict[str, CodeEntry] = {}
         if args.drafts:

@@ -71,9 +71,14 @@ from .model import (
 
 _DIGITS = set("0123456789")
 
-_ENTRY_RE = re.compile(r"^([^\[\]:]+?)(?:\[([^\[\]]*)\])?\s*:\s?(.*)$")
+# The path group is greedy: it cannot cross '[', ']' or ':', so it ends where
+# a lazy group would, plus any whitespace before ':' (which callers strip).
+_ENTRY_RE = re.compile(r"([^\[\]:]+)(?:\[([^\[\]]*)\])?\s*:\s?(.*)\Z")
 
 _ELEMENT_PREFIXES = ("F:", "R:", "A:", "S:")
+
+# Whether an R element holds whitespace, and so has pieces to strip.
+_HAS_SPACE = re.compile(r"\s").search
 
 
 class ParseErrorKind(Enum):
@@ -513,7 +518,7 @@ def _parse_document(text: str, parser: _Parser) -> Index | None:
     saw_marker = False
 
     for line_no, raw_line in enumerate(lines, start=1):
-        line = raw_line.rstrip("\r").strip()
+        line = raw_line.strip()
         if not line:
             continue
 
@@ -834,7 +839,7 @@ def _code_line_fields(
         return None
     path_text, tag_text, rest = match.group(1).strip(), match.group(2), match.group(3)
 
-    parts = [part.strip() for part in rest.split("|")]
+    parts = rest.split("|")
     if len(parts) != len(_ELEMENT_PREFIXES):
         column = max(1, min(len(line), len(line) - len(rest) + 1))
         parser.fail(
@@ -844,24 +849,31 @@ def _code_line_fields(
             f"expected four |-separated elements, found {len(parts)}",
         )
         return None
-    values = []
-    for position, (prefix, part) in enumerate(zip(_ELEMENT_PREFIXES, parts), start=1):
-        if not part.startswith(prefix):
-            parser.fail(
-                line_no,
-                1,
-                ParseErrorKind.MALFORMED_ENTRY,
-                f"expected element {prefix} in position {position}, got {part[:20]!r}",
-            )
-            return None
-        value = part[2:].strip()
-        values.append("" if value == EMPTY_SENTINEL else value)
-    f_text, r_text, a_text, s_text = values
+    f_part, r_part, a_part, s_part = parts = [part.strip() for part in parts]
+    if not (
+        f_part[:2] == "F:" and r_part[:2] == "R:" and a_part[:2] == "A:" and s_part[:2] == "S:"
+    ):
+        # Name the first element whose prefix is wrong.
+        for position, (prefix, part) in enumerate(zip(_ELEMENT_PREFIXES, parts), start=1):
+            if not part.startswith(prefix):
+                parser.fail(
+                    line_no,
+                    1,
+                    ParseErrorKind.MALFORMED_ENTRY,
+                    f"expected element {prefix} in position {position}, got {part[:20]!r}",
+                )
+                return None
+    f_text, r_text, a_text, s_text = [
+        "" if value == EMPTY_SENTINEL else value
+        for value in (f_part[2:].strip(), r_part[2:].strip(), a_part[2:].strip(), s_part[2:].strip())
+    ]
 
     refs: tuple[str, ...] = ()
     if r_text:
-        pieces = [piece.strip() for piece in r_text.split(",")]
-        if not all(pieces):
+        pieces = r_text.split(",")
+        if _HAS_SPACE(r_text):
+            pieces = [piece.strip() for piece in pieces]
+        if "" in pieces:
             parser.fail(
                 line_no, 1, ParseErrorKind.MALFORMED_ENTRY, f"empty reference in R element {r_text!r}"
             )

@@ -60,7 +60,9 @@ def canonical_path(raw: str) -> str:
 
 
 def _check_path(path: str) -> str:
-    path = canonical_path(path)
+    # canonical_path changes or rejects only these paths; skip it for the rest.
+    if not path or "\\" in path or "//" in path or path.startswith("./"):
+        path = canonical_path(path)
     if _PATH_FORBIDDEN.search(path):
         raise InvariantError(
             f"path {path!r} contains characters the entry grammar reserves: "
@@ -222,7 +224,7 @@ class Header:
                 raise InvariantError("overview lines must be nonempty trimmed lines")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CodeEntry:
     """One source file's record: path, optional tag, and the four semantic
     elements (role text ``f``, relation references ``r``, API text ``a``,
@@ -246,7 +248,8 @@ class CodeEntry:
 
     def __post_init__(self):
         object.__setattr__(self, "path", _check_path(self.path))
-        object.__setattr__(self, "r", tuple(self.r))
+        if type(self.r) is not tuple:
+            object.__setattr__(self, "r", tuple(self.r))
         if self.decoded is not None and self.tag is None:
             raise InvariantError(f"{self.path}: decoded tag without a raw tag")
         if self.tag is not None and not self.tag:
@@ -260,9 +263,21 @@ class CodeEntry:
                 raise InvariantError(
                     f"{self.path}: R reference {ref!r} contains whitespace, '|' or ','"
                 )
-        _check_text(self.f, self.path, "element F")
-        _check_text(self.a, self.path, "element A")
-        _check_text(self.s, self.path, "element S")
+        # One test over F, A and S; _check_text names the failure.
+        f, a, s = self.f, self.a, self.s
+        text = f + a + s
+        if (
+            "|" in text
+            or "\r" in text
+            or "\n" in text
+            or f != f.strip()
+            or a != a.strip()
+            or s != s.strip()
+            or EMPTY_SENTINEL in (f, a, s)
+        ):
+            _check_text(f, self.path, "element F")
+            _check_text(a, self.path, "element A")
+            _check_text(s, self.path, "element S")
 
 
 @dataclass(frozen=True)

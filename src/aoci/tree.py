@@ -19,15 +19,12 @@ the canonical path.
 
 from __future__ import annotations
 
-import logging
 import os
 import re
 from fnmatch import translate
 from typing import Callable, Iterable, Iterator
 
 from .model import canonical_path
-
-logger = logging.getLogger(__name__)
 
 
 def any_glob(globs: Iterable[str]) -> Callable[[str], object]:
@@ -40,6 +37,34 @@ def any_glob(globs: Iterable[str]) -> Callable[[str], object]:
     return re.compile("|".join(translate(glob) for glob in globs) or "(?!)").match
 
 
+def _walk(
+    root: str, enter: Callable[[str], bool] = lambda raw_dir: True
+) -> Iterator[tuple[str, str]]:
+    """Yield ``(canonical path, filesystem path)`` for every visible file.
+
+    Directories are visited top-down, subdirectories and files each in name
+    order. A subdirectory is entered only when ``enter`` accepts its raw
+    relative path, ending in a separator.
+    """
+    for dirpath, dirnames, filenames in os.walk(root):
+        rel_dir = os.path.relpath(dirpath, root)
+        prefix = "" if rel_dir == os.curdir else rel_dir + os.sep
+        dirnames[:] = sorted(
+            d for d in dirnames if not d.startswith(".") and enter(prefix + d + os.sep)
+        )
+        fs_prefix = os.path.join(dirpath, "")
+        for filename in sorted(filenames):
+            if not filename.startswith("."):
+                yield canonical_path(prefix + filename), fs_prefix + filename
+
+
+def _check_root(root: str | os.PathLike[str]) -> str:
+    root = os.fspath(root)
+    if not os.path.isdir(root):
+        raise OSError(f"not a readable directory: {root}")
+    return root
+
+
 def walk_files(
     root: str | os.PathLike[str],
     include_globs: Iterable[str] = ("*",),
@@ -50,25 +75,51 @@ def walk_files(
     Pairs come out in lexicographic canonical-path order, ties in walk
     order. Nothing is opened. A root that is not a directory raises OSError.
     """
-    root = os.fspath(root)
-    if not os.path.isdir(root):
-        raise OSError(f"not a readable directory: {root}")
+    root = _check_root(root)
     included = any_glob(include_globs)
     excluded = any_glob(exclude_globs)
-    out: list[tuple[str, str]] = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if not d.startswith("."))
-        rel_dir = os.path.relpath(dirpath, root)
-        prefix = "" if rel_dir == os.curdir else rel_dir + os.sep
-        fs_prefix = os.path.join(dirpath, "")
-        for filename in sorted(filenames):
-            if filename.startswith("."):
-                continue
-            rel = canonical_path(prefix + filename)
-            if included(rel) and not excluded(rel):
-                out.append((rel, fs_prefix + filename))
+    out = [
+        (rel, fs_path)
+        for rel, fs_path in _walk(root)
+        if included(rel) and not excluded(rel)
+    ]
     out.sort(key=lambda item: item[0])
     return out
+
+
+def find_files(root: str | os.PathLike[str], paths: Iterable[str]) -> list[tuple[str, str]]:
+    """The walked files whose canonical paths are among ``paths``.
+
+    Returns ``(canonical path, filesystem path)`` pairs as ``walk_files``
+    would order them, but lists only the directories that can hold one of
+    ``paths``. A canonical path may name a file whose filesystem path
+    differs, such as ``y\\z.go`` for ``y/z.go``, or several files, which all
+    come out, in walk order. A root that is not a directory raises OSError.
+    """
+    root = _check_root(root)
+    wanted = set(paths)
+    dirs = {path[: i + 1] for path in wanted for i, ch in enumerate(path) if ch == "/"}
+    out = [
+        (rel, fs_path)
+        for rel, fs_path in _walk(root, lambda raw_dir: canonical_path(raw_dir) in dirs)
+        if rel in wanted
+    ]
+    out.sort(key=lambda item: item[0])
+    return out
+
+
+def _read(pairs: Iterable[tuple[str, str]]) -> Iterator[tuple[str, str, bytes]]:
+    for rel, fs_path in pairs:
+        try:
+            with open(fs_path, "rb") as handle:
+                data = handle.read()
+        except OSError as exc:
+            # Imported here: validator, and so every check, imports this module.
+            import logging
+
+            logging.getLogger(__name__).warning("skipping unreadable file %s: %s", rel, exc)
+            continue
+        yield rel, fs_path, data
 
 
 def read_files(
@@ -82,11 +133,11 @@ def read_files(
     unreadable file is skipped with a logged warning. A root that is not a
     directory raises OSError when iteration starts.
     """
-    for rel, fs_path in walk_files(root, include_globs, exclude_globs):
-        try:
-            with open(fs_path, "rb") as handle:
-                data = handle.read()
-        except OSError as exc:
-            logger.warning("skipping unreadable file %s: %s", rel, exc)
-            continue
-        yield rel, fs_path, data
+    yield from _read(walk_files(root, include_globs, exclude_globs))
+
+
+def read_paths(
+    root: str | os.PathLike[str], paths: Iterable[str]
+) -> Iterator[tuple[str, str, bytes]]:
+    """``read_files`` for the files ``find_files`` finds for ``paths``."""
+    yield from _read(find_files(root, paths))

@@ -411,7 +411,7 @@ def test_scale_plan_400_renames_over_20k_entries():
 
 
 def test_scale_parse_20k_entries(monkeypatch):
-    """A 20,000-entry index parses and validates in about a second: each
+    """A 20,000-entry index parses and validates within a second: each
     distinct tag is decoded once, and Index does not decode it again."""
     n = 20_000
     rng = random.Random(20_000)
@@ -439,7 +439,7 @@ def test_scale_parse_20k_entries(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(DecodedTag, "__post_init__", counting_post_init)
-    budget = _Budget(2.5)
+    budget = _Budget(1.0)
     index = parse_index(text)
     issues = validate_index(index)
     elapsed = budget.check()

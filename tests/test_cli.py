@@ -431,6 +431,37 @@ def test_update_cli_detect_digests_a_backslash_file_name(tmp_path, monkeypatch, 
     )
 
 
+@pytest.mark.skipif(os.sep == "\\", reason="a backslash is a separator on this platform")
+def test_update_cli_changes_digests_a_backslash_file_name(tmp_path, monkeypatch, capsys):
+    # A listing names y\z.go by its canonical path y/z.go; the store must
+    # hold the content digest of the file the walk finds under that name.
+    import hashlib
+
+    repo = tmp_path / "repo"
+    (repo / "middleware").mkdir(parents=True)
+    monkeypatch.chdir(repo)
+    (repo / "middleware" / "auth.go").write_text("package middleware\n", encoding="utf-8")
+    (repo / "y\\z.go").write_bytes(b"package y\n")
+    index_path = tmp_path / "idx.aoci"
+    index_path.write_text(DETECT_INDEX, encoding="utf-8")
+    store = tmp_path / "s.tsv"
+    drafts = (
+        "middleware/auth.go[WA9M]: F:auth | R:- | A:- | S:drafted",
+        "y/z.go[WA9M]: F:y | R:- | A:- | S:drafted",
+    )
+    listing = "M\tmiddleware/auth.go\nA\ty\\z.go\n"
+    assert _update_with_store(index_path, store, tmp_path, listing, drafts) == 0
+    capsys.readouterr()
+    stored = StalenessStore.load(store.read_text(encoding="utf-8"))
+    assert stored.get("y/z.go")[0] == hashlib.sha256(b"package y\n").hexdigest()
+
+    # The next detect run finds the tree as the store recorded it.
+    before = index_path.read_bytes()
+    assert run(["update", str(index_path), "--detect", "--store", str(store)]) == 0
+    assert capsys.readouterr().err == ""
+    assert index_path.read_bytes() == before
+
+
 def test_update_cli_detect_skips_its_own_index_and_store(tmp_path, monkeypatch, capsys):
     # Index and store in the repository root, one named relatively and one
     # absolutely; the brackets would be a glob class if left unescaped.

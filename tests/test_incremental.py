@@ -390,6 +390,41 @@ def test_collect_file_digests_opens_each_file_once(tmp_path, monkeypatch):
     assert opened == collections.Counter([path for path, _ in digests] + [UNREADABLE])
 
 
+@pytest.mark.skipif(os.sep == "\\", reason="a backslash is a separator on this platform")
+def test_find_files_finds_what_the_walk_finds_listing_only_their_directories(
+    tmp_path, monkeypatch
+):
+    make_walk_tree(tmp_path)
+    (tmp_path / "y").mkdir()
+    (tmp_path / "y" / "z.go").write_bytes(b"real\n")
+    (tmp_path / "y\\z.go").write_bytes(b"folded\n")  # canonical path y/z.go as well
+    (tmp_path / "q\\").mkdir()
+    (tmp_path / "q\\" / "r.go").write_bytes(b"folded dir\n")  # canonical path q/r.go
+    wanted = [
+        "a/f", "a/b/c/deep.py", "y/z.go", "q/r.go", UNREADABLE,
+        ".env", "src/.hidden.go", "src/.cache/c.py", "a", "missing/x.go",
+    ]
+    walked = tree.walk_files(tmp_path)
+    found = tree.find_files(tmp_path, wanted)
+    assert found == [pair for pair in walked if pair[0] in wanted]
+    assert [rel for rel, _ in found] == ["a/b/c/deep.py", "a/f", "q/r.go", UNREADABLE, "y/z.go", "y/z.go"]
+    assert [data for _, _, data in tree.read_paths(tmp_path, ["q/r.go", UNREADABLE])] == [
+        b"folded dir\n"
+    ]
+
+    visited = []
+    walk = os.walk
+
+    def recording_walk(top, *args, **kwargs):
+        for item in walk(top, *args, **kwargs):
+            visited.append(os.path.relpath(item[0], tmp_path))
+            yield item
+
+    monkeypatch.setattr(os, "walk", recording_walk)
+    tree.find_files(tmp_path, ["a/b/c/deep.py"])
+    assert visited == [".", "a", os.path.join("a", "b"), os.path.join("a", "b", "c")]
+
+
 def test_store_round_trip_with_index_digest():
     store = StalenessStore({"b.go": ("c1", "e1")}, index_digest="f00d")
     text = store.dump()

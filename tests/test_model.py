@@ -194,3 +194,33 @@ def test_rename_record_needs_distinct_paths():
         ChangeRecord(ChangeStatus.RENAMED, "a.go")
     with pytest.raises(InvariantError):
         ChangeRecord(ChangeStatus.MODIFIED, "a.go", "b.go")
+
+
+def test_code_entry_is_slotted_and_survives_copying(reference_dictionary):
+    import copy
+    import dataclasses
+    import pickle
+
+    from aoci.grammar import decode_tag
+
+    entry = CodeEntry(
+        path="pkg/a.go",
+        tag="WA9JM",
+        decoded=decode_tag("WA9JM", reference_dictionary),
+        f="role",
+        r=("pkg/b.go", "model"),
+        a="Run",
+        s="synopsis",
+    )
+    assert not hasattr(entry, "__dict__")
+    assert pickle.loads(pickle.dumps(entry)) == entry
+    assert copy.deepcopy(entry) == entry
+    assert copy.copy(entry) == entry
+    changed = dataclasses.replace(entry, path="./pkg\\c.go", r=["x"])
+    assert (changed.path, changed.r, changed.s) == ("pkg/c.go", ("x",), "synopsis")
+    with pytest.raises(InvariantError, match="element S"):
+        dataclasses.replace(entry, s=" padded")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.s = "other"
+    with pytest.raises((AttributeError, TypeError)):
+        entry.extra = 1
