@@ -279,14 +279,25 @@ def _cmd_scaffold(args: argparse.Namespace) -> ExitCode:
         print(f"warning: {warning}", file=sys.stderr)
     _write_text(args.out or "-", serialize_index(result.index))
     if args.prompts:
-        packs = scaffold.emit_prompt_pack(
-            result.index, result.drafts, scaffold.file_source_loader(result.fs_paths)
-        )
         out_dir = Path(args.prompts)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for pack in packs.packs:
+        holders: dict[str, str] = {}  # pack file name -> the path whose pack it holds
+
+        def write(pack: scaffold.PromptPack) -> None:
+            first = holders.setdefault(pack.filename, pack.path)
+            if first != pack.path:
+                print(
+                    f"warning: skipped prompt pack for {pack.path}: "
+                    f"{pack.filename} already holds the pack for {first}",
+                    file=sys.stderr,
+                )
+                return
             (out_dir / pack.filename).write_text(pack.text, encoding="utf-8")
-        for path in packs.skipped:
+
+        skipped = scaffold.emit_prompt_pack(
+            result.index, result.drafts, scaffold.file_source_loader(result.fs_paths), write
+        )
+        for path in skipped:
             print(f"warning: skipped prompt pack for missing source {path}", file=sys.stderr)
     return ExitCode.OK
 
@@ -329,25 +340,21 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
         raise ConfigError("update needs --changes, or --detect with --store")
 
     with _index_lock(args.index):
-        store = None
+        # Without --store the store starts empty and is never written, so the
+        # index is parsed in full and --changes digests nothing.
+        store = incremental.StalenessStore()
+        if args.store and Path(args.store).exists():
+            store = incremental.StalenessStore.load(Path(args.store).read_text(encoding="utf-8"))
         file_digests: dict[str, str] = {}
-        if args.store:
-            store_path = Path(args.store)
-            store = (
-                incremental.StalenessStore.load(store_path.read_text(encoding="utf-8"))
-                if store_path.exists()
-                else incremental.StalenessStore()
-            )
-        index = _update_input(args.index, store.index_digest if store is not None else "")
+        index = _update_input(args.index, store.index_digest)
         if args.detect:
-            assert store is not None
             root = os.getcwd()
             digests = incremental.collect_file_digests(root, exclude_globs=_own_files(args, root))
             file_digests = dict(digests)
             changes = incremental.detect_stale(store, digests, index)
         else:
             changes = incremental.parse_changeset(_read_text(args.changes))
-            if store is not None:
+            if args.store:
                 # Digest the touched files so the store records their current
                 # content; files that are gone simply stay undigested.
                 touched = [
@@ -379,7 +386,7 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
             print(f"pending regeneration (no draft supplied): {path}", file=sys.stderr)
         for host, ref in plan.dangling_after:
             print(f"warning: dangling reference after update: {host} -> {ref}", file=sys.stderr)
-        if store is not None:
+        if args.store:
             incremental.commit_plan(store, plan, updated, file_digests, drafts.keys())
             store.index_digest = incremental.content_digest(out.encode("utf-8"))
             Path(args.store).write_text(store.dump(), encoding="utf-8")

@@ -393,8 +393,10 @@ def scan_index(text: str) -> IndexLines:
     ``text`` must be ``serialize_index`` output: the scan relies on that
     layout (LF line endings, one space around ``|``, no blank lines) and
     checks nothing else, so text of unknown origin goes through
-    ``parse_index`` first. ``scan_index(serialize_index(index)).text()``
-    equals ``serialize_index(index)``.
+    ``parse_index`` first. The header, the text up to and including
+    ``@CODE``, goes through the document parser, and its first error is
+    raised. ``scan_index(serialize_index(index)).text()`` equals
+    ``serialize_index(index)``.
     """
     lines = text.split("\n")  # the last item is the empty string after the final LF
     code_at = lines.index("@CODE") + 1
@@ -405,14 +407,12 @@ def scan_index(text: str) -> IndexLines:
         rows.append(
             CodeRow(path, () if refs == EMPTY_SENTINEL else tuple(refs.split(",")), line)
         )
-    parser = _Parser()
-    builder = _HeaderBuilder()
-    for line_no, line in enumerate(lines[: code_at - 1], start=1):
-        _parse_directive(line, line_no, builder, parser)
-    if parser.errors:
-        raise parser.errors[0]
     head = "\n".join(lines[:code_at]) + "\n"
-    return IndexLines(builder.build(), head, tuple(rows), "\n".join(lines[tables_at:]))
+    report = parse_index_report(head)
+    if report.errors:
+        raise report.errors[0]
+    assert report.index is not None
+    return IndexLines(report.index.header, head, tuple(rows), "\n".join(lines[tables_at:]))
 
 
 # ---------------------------------------------------------------------------

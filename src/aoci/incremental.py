@@ -23,6 +23,11 @@ the last update wrote. Index bytes that match it are exactly the canonical
 text of a validated index, so an update splices the changed lines into them
 (``scan_index``, ``apply_lines``) instead of parsing every entry; any other
 bytes are parsed and validated in full first.
+
+An update is one pass of each step: ``plan_update`` walks the entries once,
+recording rename rewrites and the references left dangling;
+``apply_lines`` is the only applier (``apply_update`` runs it over an
+``Index``'s canonical text); ``commit_plan`` brings the store in line.
 """
 
 from __future__ import annotations
@@ -32,17 +37,19 @@ import hashlib
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping
 
 from .errors import InvalidPath, InvariantError, PlanMismatch
 from .grammar import (
-    CodeFields,
     CodeRow,
     IndexLines,
     ParseError,
     ParseErrorKind,
     code_line_fields,
+    parse_index,
+    scan_index,
     serialize_code_entry,
+    serialize_index,
 )
 from .model import (
     ChangeRecord,
@@ -50,7 +57,6 @@ from .model import (
     ChangeStatus,
     CodeEntry,
     Index,
-    TagDictionary,
     canonical_path,
     check_entry_tag,
 )
@@ -58,9 +64,6 @@ from .tree import read_files
 from .validator import RefResolver, sans_ext
 
 _STATUS_RE = re.compile(r"^([AMD]|R\d*)$")
-
-# A code entry as the applier sees it: a CodeRow or a CodeEntry.
-_Row = TypeVar("_Row", CodeRow, CodeEntry)
 
 
 def content_digest(data: bytes) -> str:
@@ -188,32 +191,28 @@ def plan_update(index: Index | IndexLines, changes: ChangeSet) -> UpdatePlan:
                 rename_map[rec.path] = rec.new_path or rec.path
 
     remove_set = set(remove)
-    rewrites: list[tuple[str, str, str]] = []
-    if rename_map:
-        renamed_refs = _rename_lookup(rename_map)
-        for entry in index.code_entries:
-            if entry.path in remove_set:
-                continue
-            for ref in entry.r:
-                new_ref = renamed_refs.get(ref)
-                if new_ref is not None and new_ref != ref:
-                    rewrites.append((entry.path, ref, new_ref))
-
     regen_set = set(regenerate)
+    renamed_refs = _rename_lookup(rename_map)
     final_paths = (entry_paths - remove_set - set(rename_map)) | set(
         rename_map.values()
     ) | regen_set
     resolver = RefResolver(final_paths)
     table_names = index.table_names()
-    rewritten = {(host, old): new for host, old, new in rewrites}
+    rewrites: list[tuple[str, str, str]] = []
     dangling: list[tuple[str, str]] = []
     for entry in index.code_entries:
-        if entry.path in remove_set or entry.path in regen_set:
-            continue  # removed, or about to be replaced by a draft
+        if entry.path in remove_set:
+            continue
+        # A regenerated entry is about to be replaced by a draft, so only its
+        # rewrites are recorded.
+        check = entry.path not in regen_set
         final_host = rename_map.get(entry.path, entry.path)
         for ref in entry.r:
-            ref = rewritten.get((entry.path, ref), ref)
-            if not resolver.resolves(ref) and ref not in table_names:
+            new_ref = renamed_refs.get(ref)
+            if new_ref is not None and new_ref != ref:
+                rewrites.append((entry.path, ref, new_ref))
+                ref = new_ref
+            if check and not resolver.resolves(ref) and ref not in table_names:
                 dangling.append((final_host, ref))
 
     return UpdatePlan(
@@ -351,10 +350,13 @@ def apply_lines(
 ) -> IndexLines:
     """Apply a plan, substituting supplied drafts for regenerated paths.
 
-    Only the lines of renamed entries and rewrite hosts are parsed; they and
-    the drafts are serialized anew, and every other line is kept byte for
-    byte. ``lines`` must come from ``scan_index`` over canonical text, and
-    the result's ``text()`` is ``serialize_index`` of the updated index.
+    This is the one applier. Only the lines of renamed entries and rewrite
+    hosts are parsed, each into one ``CodeEntry`` per change; they and the
+    drafts are serialized anew, and every other line is kept byte for byte.
+    ``lines`` must come from ``scan_index`` over canonical text, and the
+    result's ``text()`` is ``serialize_index`` of the updated index. The
+    errors are those of building an ``Index`` of the result, raised in the
+    same order.
 
     Regenerate paths without a draft keep their old entry text (if any);
     ``commit_plan`` marks them pending in the staleness store, and prompt
@@ -369,57 +371,8 @@ def apply_lines(
             tag does not fit the header dictionary.
     """
     dictionary = lines.header.dictionary
-    rows = _splice(
-        lines.code_entries,
-        lambda row: code_line_fields(row.line, dictionary),
-        dictionary,
-        plan,
-        drafts,
-    )
-    return dataclasses.replace(
-        lines,
-        code_entries=tuple(
-            row if isinstance(row, CodeRow) else CodeRow(row.path, row.r, serialize_code_entry(row))
-            for row in rows
-        ),
-    )
-
-
-def apply_update(
-    index: Index,
-    plan: UpdatePlan,
-    drafts: Mapping[str, CodeEntry] | None = None,
-) -> Index:
-    """``apply_lines`` for an ``Index``: the same update and the same errors."""
-    entries = _splice(
-        index.code_entries,
-        lambda e: (e.path, e.tag, e.decoded, e.f, e.r, e.a, e.s),
-        index.header.dictionary,
-        plan,
-        drafts,
-    )
-    return Index(index.header, tuple(entries), index.table_entries)
-
-
-def _splice(
-    rows: Sequence[_Row],
-    fields_of: Callable[[_Row], CodeFields],
-    dictionary: TagDictionary,
-    plan: UpdatePlan,
-    drafts: Mapping[str, CodeEntry] | None,
-) -> list[_Row | CodeEntry]:
-    """The one applier behind ``apply_lines`` and ``apply_update``.
-
-    ``rows`` are the code entries in order, as anything with a ``path`` and
-    an ``r``. ``fields_of`` gives a row's ``CodeEntry`` fields; it is called
-    for renamed rows and rewrite hosts only, and each of them is built once
-    per change. Untouched rows come back as they are, the others as new
-    ``CodeEntry`` values. The errors are those of building an ``Index`` of
-    the result, raised in the same order.
-    """
     drafts = dict(drafts or {})
-    regen_set = set(plan.regenerate)
-    stray = set(drafts) - regen_set
+    stray = set(drafts) - set(plan.regenerate)
     if stray:
         raise PlanMismatch(f"drafts supplied for unplanned paths: {sorted(stray)}")
 
@@ -427,26 +380,26 @@ def _splice(
     for host, old_ref, new_ref in plan.ref_rewrites:
         rewrites_by_host.setdefault(host, {})[old_ref] = new_ref
 
-    out: list[_Row | CodeEntry] = []
+    rows: list[CodeRow] = []
     remove_set = set(plan.remove)
-    for row in rows:
+    for row in lines.code_entries:
         if row.path in remove_set:
             continue
         mapping = rewrites_by_host.get(row.path)
         new_path = plan.rename_map.get(row.path)
         if mapping or new_path is not None:
-            path, tag, decoded, f, r, a, s = fields_of(row)
+            path, tag, decoded, f, r, a, s = code_line_fields(row.line, dictionary)
             if mapping:
                 r = tuple(mapping.get(ref, ref) for ref in r)
                 if new_path is not None:
                     # The rewrite is checked under the old path first, so a
                     # rejected reference is reported before a rejected path.
                     CodeEntry(path, tag, decoded, f, r, a, s)
-            row = CodeEntry(new_path or path, tag, decoded, f, r, a, s)
-        out.append(row)
+            row = _code_row(CodeEntry(new_path or path, tag, decoded, f, r, a, s))
+        rows.append(row)
 
-    by_path = {row.path: i for i, row in enumerate(out)}
-    drafted: set[int] = set()
+    by_path = {row.path: i for i, row in enumerate(rows)}
+    drafted: dict[int, CodeEntry] = {}
     for path in plan.regenerate:
         entry = drafts.get(path)
         if entry is None:
@@ -457,22 +410,39 @@ def _splice(
             )
         slot = by_path.get(path)
         if slot is None:
-            slot = by_path[path] = len(out)
-            out.append(entry)
+            slot = by_path[path] = len(rows)
+            rows.append(_code_row(entry))
         else:
-            out[slot] = entry
-        drafted.add(slot)
+            rows[slot] = _code_row(entry)
+        drafted[slot] = entry
 
     # The Index invariants. Kept rows, renamed or not, keep a tag that fits
     # the dictionary, so only drafts need the tag check.
     seen: set[str] = set()
-    for i, row in enumerate(out):
+    for i, row in enumerate(rows):
         if row.path in seen:
             raise InvariantError(f"duplicate code entry path: {row.path}")
         seen.add(row.path)
         if i in drafted:
-            check_entry_tag(row, dictionary)
-    return out
+            check_entry_tag(drafted[i], dictionary)
+    return dataclasses.replace(lines, code_entries=tuple(rows))
+
+
+def _code_row(entry: CodeEntry) -> CodeRow:
+    return CodeRow(entry.path, entry.r, serialize_code_entry(entry))
+
+
+def apply_update(
+    index: Index,
+    plan: UpdatePlan,
+    drafts: Mapping[str, CodeEntry] | None = None,
+) -> Index:
+    """``apply_lines`` for an ``Index``: the same update and the same errors.
+
+    The index goes through its canonical text, so this costs a serialize and
+    a full parse; ``aoci update`` calls ``apply_lines`` directly.
+    """
+    return parse_index(apply_lines(scan_index(serialize_index(index)), plan, drafts).text())
 
 
 def commit_plan(

@@ -547,12 +547,6 @@ class PromptPack:
     text: str
 
 
-@dataclass(frozen=True)
-class PromptPackResult:
-    packs: tuple[PromptPack, ...]
-    skipped: tuple[str, ...]
-
-
 def sanitize_pack_name(path: str) -> str:
     return path.replace("/", "__") + ".prompt.txt"
 
@@ -561,13 +555,17 @@ def emit_prompt_pack(
     index: Index,
     drafts: Iterable[DraftEntry],
     source_loader: Callable[[str], str | None],
-) -> PromptPackResult:
-    """Build one prompt pack per draft; drafts whose source is gone are
-    recorded as skipped instead of failing the batch."""
+    write: Callable[[PromptPack], None],
+) -> list[str]:
+    """Build one prompt pack per draft and hand it to ``write`` before the
+    next draft's source is loaded, so one pack is held at a time.
+
+    Returns the paths of drafts whose source is gone; they are skipped
+    instead of failing the batch.
+    """
     from .grammar import serialize_code_entry, serialize_header
 
     dictionary_text = serialize_header(index.header)
-    packs: list[PromptPack] = []
     skipped: list[str] = []
     for draft in drafts:
         source = source_loader(draft.entry.path)
@@ -599,14 +597,14 @@ def emit_prompt_pack(
                 PROMPT_INSTRUCTIONS,
             )
         )
-        packs.append(
+        write(
             PromptPack(
                 path=draft.entry.path,
                 filename=sanitize_pack_name(draft.entry.path),
                 text=text,
             )
         )
-    return PromptPackResult(packs=tuple(packs), skipped=tuple(skipped))
+    return skipped
 
 
 def file_source_loader(fs_paths: Mapping[str, str]) -> Callable[[str], str | None]:

@@ -267,6 +267,31 @@ def test_scaffold_cli_reads_a_backslash_file_name(tmp_path, capsys):
     assert "\nSOURCE\n" + source in pack
 
 
+def test_scaffold_cli_keeps_the_first_pack_under_a_colliding_name(tmp_path, capsys):
+    # x/y.go and x__y.go both map to the pack name x__y.go.prompt.txt.
+    repo = tmp_path / "repo"
+    (repo / "x").mkdir(parents=True)
+    (repo / "x" / "y.go").write_text("package x\n", encoding="utf-8")
+    (repo / "x__y.go").write_text("package main\n", encoding="utf-8")
+    rules = tmp_path / "rules.txt"
+    rules.write_text("[layer]\n* = W\n[module]\n* = A\n", encoding="utf-8")
+    out_index = tmp_path / "draft.aoci"
+    prompts = tmp_path / "prompts"
+    argv = ["scaffold", str(repo), "--rules", str(rules), "--out", str(out_index),
+            "--prompts", str(prompts)]
+
+    assert run(argv) == 0
+    parsed = parse_index(out_index.read_bytes())
+    assert [e.path for e in parsed.code_entries] == ["x/y.go", "x__y.go"]
+    assert capsys.readouterr().err == (
+        "warning: skipped prompt pack for x__y.go: "
+        "x__y.go.prompt.txt already holds the pack for x/y.go\n"
+    )
+    assert [p.name for p in prompts.iterdir()] == ["x__y.go.prompt.txt"]
+    pack = (prompts / "x__y.go.prompt.txt").read_text(encoding="utf-8")
+    assert "\nENTRY\nx/y.go[" in pack and "\nSOURCE\npackage x\n" in pack
+
+
 def test_update_cli_with_changes_and_drafts(tmp_path, golden_copy, capsys):
     changes = tmp_path / "changes.txt"
     changes.write_text("M\tauth.go\nD\tmodel/org/org.go\n", encoding="utf-8")

@@ -289,9 +289,12 @@ def test_scaffold_extracts_cross_references(go_repo, rules):
 
 def test_prompt_pack_layout(go_repo, rules):
     result = scaffold_repo(go_repo, rules)
-    packs = emit_prompt_pack(result.index, result.drafts, file_source_loader(result.fs_paths))
-    assert packs.skipped == ()
-    by_path = {pack.path: pack for pack in packs.packs}
+    packs = []
+    skipped = emit_prompt_pack(
+        result.index, result.drafts, file_source_loader(result.fs_paths), packs.append
+    )
+    assert skipped == []
+    by_path = {pack.path: pack for pack in packs}
     pack = by_path["middleware/auth.go"]
     assert pack.filename == "middleware__auth.go.prompt.txt"
     sections = [
@@ -305,16 +308,38 @@ def test_prompt_pack_budget_for_top_importance(go_repo, rules):
     result = scaffold_repo(go_repo, rules)
     top = [d for d in result.drafts if d.entry.decoded and d.entry.decoded.importance == 9]
     assert top, "fixture should produce at least one importance-9 draft"
-    packs = emit_prompt_pack(result.index, top, file_source_loader(result.fs_paths))
-    assert "80-150 tokens (importance 9)" in packs.packs[0].text
+    packs = []
+    emit_prompt_pack(result.index, top, file_source_loader(result.fs_paths), packs.append)
+    assert "80-150 tokens (importance 9)" in packs[0].text
 
 
 def test_prompt_pack_empty_and_skipped(go_repo, rules):
     result = scaffold_repo(go_repo, rules)
-    assert emit_prompt_pack(result.index, [], file_source_loader(result.fs_paths)).packs == ()
+    packs = []
+    assert emit_prompt_pack(result.index, [], file_source_loader(result.fs_paths), packs.append) == []
+    assert packs == []
     (go_repo / "config.yaml").unlink()
-    packs = emit_prompt_pack(result.index, result.drafts, file_source_loader(result.fs_paths))
-    assert packs.skipped == ("config.yaml",)
+    skipped = emit_prompt_pack(
+        result.index, result.drafts, file_source_loader(result.fs_paths), packs.append
+    )
+    assert skipped == ["config.yaml"]
+
+
+def test_prompt_pack_is_written_before_the_next_source_is_loaded(go_repo, rules):
+    result = scaffold_repo(go_repo, rules)
+    load = file_source_loader(result.fs_paths)
+    events = []
+
+    def loader(path):
+        events.append(("load", path))
+        return load(path)
+
+    emit_prompt_pack(
+        result.index, result.drafts, loader, lambda pack: events.append(("write", pack.path))
+    )
+    paths = [draft.entry.path for draft in result.drafts]
+    assert len(paths) > 1
+    assert events == [(kind, path) for path in paths for kind in ("load", "write")]
 
 
 def test_default_import_patterns_cover_shipped_languages():
