@@ -28,9 +28,11 @@ import contextlib
 import glob
 import json
 import os
+import stat
 import sys
 from enum import IntEnum
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .ablation import AblationVariant, apply_ablation
 from .errors import AociError, ConfigError, TagError
@@ -193,7 +195,46 @@ def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        _replace_file(path, [text])
+
+
+def _replace_file(path: str, chunks: Iterable[str], mtime_ns: int | None = None) -> None:
+    """Write ``chunks`` to ``path`` atomically: a reader or a crash sees the
+    old file or the new one, never a mix.
+
+    The text goes to a hidden temporary file in the target's directory,
+    which is fsynced and then renamed over the target. The new file keeps
+    the old one's permission bits, and a symlinked target is written through
+    the link. ``mtime_ns``, when given, becomes the new file's mtime. A
+    target that exists and is not a regular file, such as a pipe or
+    ``/dev/stdout``, is written in place.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as stream:
+            stream.writelines(chunks)
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    temp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    handle = open(temp, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.writelines(chunks)
+            handle.flush()
+            if mode is not None:
+                os.chmod(handle.fileno(), stat.S_IMODE(mode))
+            os.fsync(handle.fileno())
+        if mtime_ns is not None:
+            os.utime(temp, ns=(mtime_ns, mtime_ns))
+        os.replace(temp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
 def _load_index(path: str) -> Index:
@@ -201,26 +242,34 @@ def _load_index(path: str) -> Index:
 
 
 @contextlib.contextmanager
-def _index_lock(path: str):
+def _index_lock(path: str) -> Iterator[int | None]:
     """Advisory lock against concurrent updates of the same index file.
 
     ``update`` takes it before it reads the index and the store, and holds
-    it until both are written.
+    it until both are written. The lock is on a sidecar file,
+    ``<index>.lock``, which stays in place, because the index itself is
+    replaced by every write. Yields the file-system clock's time when the
+    lock was taken (the sidecar's fresh mtime); None for ``-``.
     """
     if path == "-":
-        yield
+        yield None
         return
     import fcntl
 
-    with Path(path).open("rb") as handle:
+    with open(_lock_path(path), "a+b") as handle:
         try:
             fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError as exc:
             raise OSError(f"index {path} is locked by another process") from exc
         try:
-            yield
+            os.utime(handle.fileno())
+            yield os.fstat(handle.fileno()).st_mtime_ns
         finally:
             fcntl.flock(handle, fcntl.LOCK_UN)
+
+
+def _lock_path(index: str) -> str:
+    return index + ".lock"
 
 
 def _cmd_check(args: argparse.Namespace) -> ExitCode:
@@ -303,8 +352,11 @@ def _cmd_scaffold(args: argparse.Namespace) -> ExitCode:
 
 
 def _own_files(args: argparse.Namespace, root: str) -> list[str]:
-    """Exclude globs for the index and store files that lie under ``root``."""
-    own = [args.store] if args.index == "-" else [args.index, args.store]
+    """Exclude globs for the index, its lock file and the store, where they
+    lie under ``root``."""
+    own = [args.store]
+    if args.index != "-":
+        own += [args.index, _lock_path(args.index)]
     globs = []
     for path in own:
         rel = os.path.relpath(os.path.abspath(path), root)
@@ -339,17 +391,26 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
     if not args.detect and not args.changes:
         raise ConfigError("update needs --changes, or --detect with --store")
 
-    with _index_lock(args.index):
+    with _index_lock(args.index) as started_ns:
         # Without --store the store starts empty and is never written, so the
         # index is parsed in full and --changes digests nothing.
         store = incremental.StalenessStore()
-        if args.store and Path(args.store).exists():
-            store = incremental.StalenessStore.load(Path(args.store).read_text(encoding="utf-8"))
+        if args.store:
+            try:
+                store_mtime_ns = os.stat(args.store).st_mtime_ns
+            except FileNotFoundError:
+                pass
+            else:
+                store = incremental.StalenessStore.load(
+                    Path(args.store).read_text(encoding="utf-8"), store_mtime_ns
+                )
         file_digests: dict[str, str] = {}
         index = _update_input(args.index, store.index_digest)
         if args.detect:
             root = os.getcwd()
-            digests = incremental.collect_file_digests(root, exclude_globs=_own_files(args, root))
+            digests = incremental.collect_file_digests(
+                root, exclude_globs=_own_files(args, root), store=store
+            )
             file_digests = dict(digests)
             changes = incremental.detect_stale(store, digests, index)
         else:
@@ -363,8 +424,9 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
                     for path in (record.path, record.new_path)
                     if path
                 ]
-                for path, _, data in tree.read_paths(os.getcwd(), touched):
-                    file_digests[path] = incremental.content_digest(data)
+                for path, st, data in tree.stat_read(tree.find_files(os.getcwd(), touched)):
+                    digest = file_digests[path] = incremental.content_digest(data)
+                    store.observe(path, digest, st)
 
         drafts: dict[str, CodeEntry] = {}
         if args.drafts:
@@ -389,7 +451,9 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
         if args.store:
             incremental.commit_plan(store, plan, updated, file_digests, drafts.keys())
             store.index_digest = incremental.content_digest(out.encode("utf-8"))
-            Path(args.store).write_text(store.dump(), encoding="utf-8")
+            # The store's mtime is the time the lock was taken, so a file
+            # changed while this update ran is never trusted by its stat.
+            _replace_file(args.store, store.lines(), started_ns)
     return ExitCode.OK
 
 

@@ -17,7 +17,17 @@ The staleness store persists one line per file, ``path\\t<content
 digest>\\t<entry digest>``, where both digests are SHA-256 hex: the first
 over the file's raw bytes, the second over the UTF-8 bytes of the entry's
 canonical line. An empty content digest marks the entry as pending
-regeneration. One more line, ``\\t<index digest>\\t``, has an empty path
+regeneration. A row may carry a 4th field, ``size:mtime_ns:ctime_ns:inode``,
+the stat its file had when the bytes behind the content digest were read
+(the stat is always taken before the read). ``update --detect`` re-reads a
+file only when its stat differs from that field, when the field's mtime is
+not strictly older than the store file's own mtime (git's racy-timestamp
+rule), or when the row is pending; 3-field rows carry no stat and are always
+re-read. ``aoci update`` sets the store's mtime to the time it took its
+lock, so a file changed while it ran is never trusted. Setting a row's
+digests drops its stat unless the file was read with that content digest in
+the same run. One more line,
+``\\t<index digest>\\t``, has an empty path
 field, which no file path can take: it holds the SHA-256 of the index bytes
 the last update wrote. Index bytes that match it are exactly the canonical
 text of a validated index, so an update splices the changed lines into them
@@ -37,7 +47,7 @@ import hashlib
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidPath, InvariantError, PlanMismatch
 from .grammar import (
@@ -60,7 +70,7 @@ from .model import (
     canonical_path,
     check_entry_tag,
 )
-from .tree import read_files
+from .tree import stat_read, walk_files
 from .validator import RefResolver, sans_ext
 
 _STATUS_RE = re.compile(r"^([AMD]|R\d*)$")
@@ -249,68 +259,144 @@ def _rename_lookup(rename_map: dict[str, str]) -> dict[str, str]:
     return lookup
 
 
-class StalenessStore:
-    """Persistent path to (content digest, entry digest) map.
+def stat_key(st: os.stat_result) -> str:
+    """The store's stat field for a file: ``size:mtime_ns:ctime_ns:inode``."""
+    return f"{st.st_size}:{st.st_mtime_ns}:{st.st_ctime_ns}:{st.st_ino}"
 
-    The line format is ``path\\t<hex>\\t<hex>``; either digest may be empty,
-    and an empty content digest means the entry awaits regeneration.
-    ``index_digest`` is the digest of the index bytes the last update wrote,
-    kept on a line with an empty path; empty when unknown.
+
+class StalenessStore:
+    """Persistent path to (content digest, entry digest) map, with a stat
+    cache beside the content digests.
+
+    The line format is ``path\\t<hex>\\t<hex>[\\t<stat>]``; either digest may
+    be empty, and an empty content digest means the entry awaits
+    regeneration. ``stats`` maps a path to the ``stat_key`` its file had
+    when the bytes behind its content digest were read (the optional 4th
+    field). ``mtime_ns`` is the store file's own mtime at load; a recorded
+    stat is trusted only while its mtime is strictly older (the racy rule),
+    and a store not loaded from a file trusts none. ``index_digest`` is the
+    digest of the index bytes the last update wrote, kept on a line with an
+    empty path; empty when unknown.
     """
 
     def __init__(
-        self, records: Mapping[str, tuple[str, str]] | None = None, index_digest: str = ""
+        self,
+        records: Mapping[str, tuple[str, str]] | None = None,
+        index_digest: str = "",
+        stats: Mapping[str, str] | None = None,
+        mtime_ns: int = 0,
     ):
         self.records: dict[str, tuple[str, str]] = dict(records or {})
         self.index_digest = index_digest
+        self.stats: dict[str, str] = dict(stats or {})
+        self.mtime_ns = mtime_ns
+        # path -> (content digest, stat key) of each file read in this run.
+        self._observed: dict[str, tuple[str, str]] = {}
 
     @classmethod
-    def load(cls, text: str) -> StalenessStore:
+    def load(cls, text: str, mtime_ns: int = 0) -> StalenessStore:
+        """Parse store text; ``mtime_ns`` is the store file's mtime."""
         records: dict[str, tuple[str, str]] = {}
+        stats: dict[str, str] = {}
         index_digest = ""
-        for line_no, raw in enumerate(text.split("\n"), start=1):
-            line = raw.rstrip("\r")
+        for line_no, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
                 continue
-            fields = line.split("\t")
-            if len(fields) != 3:
+            fields = line.rstrip("\r").split("\t")
+            if len(fields) == 4:
+                path, content, entry, stat = fields
+            elif len(fields) == 3:
+                path, content, entry = fields
+                stat = ""
+            else:
                 raise ParseError(
                     line_no,
                     1,
                     ParseErrorKind.MALFORMED_CHANGE,
-                    "store line must be path<TAB>digest<TAB>digest",
+                    "store line must be path<TAB>digest<TAB>digest[<TAB>stat]",
                 )
-            if fields[0]:
-                records[canonical_path(fields[0])] = (fields[1], fields[2])
+            if not path:
+                index_digest = content
+                continue
+            # canonical_path changes or rejects only these paths.
+            if "\\" in path or "//" in path or path.startswith("./"):
+                path = canonical_path(path)
+            records[path] = (content, entry)
+            if stat:
+                stats[path] = stat
+        return cls(records, index_digest, stats, mtime_ns)
+
+    def lines(self) -> Iterator[str]:
+        """The store text, one newline-terminated line at a time, sorted."""
+        if self.index_digest:
+            yield f"\t{self.index_digest}\t\n"
+        records, stats = self.records, self.stats
+        for path in sorted(records):
+            content, entry = records[path]
+            stat = stats.get(path)
+            if stat:
+                yield f"{path}\t{content}\t{entry}\t{stat}\n"
             else:
-                index_digest = fields[1]
-        return cls(records, index_digest)
+                yield f"{path}\t{content}\t{entry}\n"
 
     def dump(self) -> str:
-        lines = [
-            f"{path}\t{content}\t{entry}"
-            for path, (content, entry) in sorted(self.records.items())
-        ]
-        if self.index_digest:
-            lines.insert(0, f"\t{self.index_digest}\t")
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(self.lines())
 
     def set(self, path: str, content: str, entry: str) -> None:
-        self.records[canonical_path(path)] = (content, entry)
+        """Record a row; it keeps a stat only when this run read ``content``
+        from the file (see ``observe``)."""
+        path = canonical_path(path)
+        self.records[path] = (content, entry)
+        observed = self._observed.get(path)
+        if content and observed is not None and observed[0] == content:
+            self.stats[path] = observed[1]
+        else:
+            self.stats.pop(path, None)
 
     def get(self, path: str) -> tuple[str, str] | None:
         return self.records.get(path)
 
     def discard(self, path: str) -> None:
         self.records.pop(path, None)
+        self.stats.pop(path, None)
 
     def mark_pending(self, path: str) -> None:
         """Flag a path so staleness detection keeps reporting it modified."""
         _, entry = self.records.get(path, ("", ""))
-        self.records[canonical_path(path)] = ("", entry)
+        path = canonical_path(path)
+        self.records[path] = ("", entry)
+        self.stats.pop(path, None)
 
     def paths(self) -> frozenset[str]:
         return frozenset(self.records)
+
+    def unchanged(self, path: str, st: os.stat_result) -> bool:
+        """Whether the file at ``path``, stat'ed as ``st``, still holds the
+        bytes of its recorded content digest.
+
+        True only when the recorded stat equals ``st``, its mtime is strictly
+        older than the store file's, and the digest is not pending.
+        """
+        stat = self.stats.get(path)
+        return (
+            stat is not None
+            and st.st_mtime_ns < self.mtime_ns
+            and stat == stat_key(st)
+            and self.records[path][0] != ""
+        )
+
+    def observe(self, path: str, digest: str, st: os.stat_result) -> None:
+        """Note that the file at ``path`` read as ``digest`` after it was
+        stat'ed as ``st``.
+
+        A row whose content digest equals ``digest`` takes the fresh stat at
+        once (a touch); ``set`` gives it to a row later set to ``digest``.
+        """
+        stat = stat_key(st)
+        self._observed[path] = (digest, stat)
+        known = self.records.get(path)
+        if known is not None and known[0] == digest:
+            self.stats[path] = stat
 
 
 def detect_stale(
@@ -482,15 +568,27 @@ def collect_file_digests(
     root: str | os.PathLike[str],
     include_globs: Iterable[str] = ("*",),
     exclude_globs: Iterable[str] = (),
+    store: StalenessStore | None = None,
 ) -> list[tuple[str, str]]:
-    """Digest every file ``tree.read_files`` yields, for staleness detection.
+    """Digest every file ``tree.walk_files`` lists, for staleness detection.
 
     The walk is the one ``scaffold_repo`` drafts from, so detection sees the
-    same files. Each file is read once, from the filesystem path the walk
-    found, in walk order. Unreadable files are skipped with a logged
-    warning; a root that is not a directory raises OSError.
+    same files. One ``(path, digest)`` pair comes out per walked file, in
+    walk order. With a ``store``, each file is stat'ed first, and a file the
+    store says is ``unchanged`` keeps its recorded digest unread; every
+    other file is read once, from the filesystem path the walk found, and
+    its digest and stat go to ``store.observe``. Unreadable files are
+    skipped with a logged warning; a root that is not a directory raises
+    OSError.
     """
-    return [
-        (path, content_digest(data))
-        for path, _, data in read_files(root, include_globs, exclude_globs)
-    ]
+    unchanged = None if store is None else store.unchanged
+    out: list[tuple[str, str]] = []
+    for path, st, data in stat_read(walk_files(root, include_globs, exclude_globs), unchanged):
+        if data is None:  # only with a store, which vouched for its digest
+            out.append((path, store.records[path][0]))
+            continue
+        digest = content_digest(data)
+        out.append((path, digest))
+        if store is not None:
+            store.observe(path, digest, st)
+    return out

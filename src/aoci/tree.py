@@ -108,16 +108,20 @@ def find_files(root: str | os.PathLike[str], paths: Iterable[str]) -> list[tuple
     return out
 
 
+def _skip_unreadable(rel: str, exc: OSError) -> None:
+    # Imported here: validator, and so every check, imports this module.
+    import logging
+
+    logging.getLogger(__name__).warning("skipping unreadable file %s: %s", rel, exc)
+
+
 def _read(pairs: Iterable[tuple[str, str]]) -> Iterator[tuple[str, str, bytes]]:
     for rel, fs_path in pairs:
         try:
             with open(fs_path, "rb") as handle:
                 data = handle.read()
         except OSError as exc:
-            # Imported here: validator, and so every check, imports this module.
-            import logging
-
-            logging.getLogger(__name__).warning("skipping unreadable file %s: %s", rel, exc)
+            _skip_unreadable(rel, exc)
             continue
         yield rel, fs_path, data
 
@@ -136,8 +140,33 @@ def read_files(
     yield from _read(walk_files(root, include_globs, exclude_globs))
 
 
-def read_paths(
-    root: str | os.PathLike[str], paths: Iterable[str]
-) -> Iterator[tuple[str, str, bytes]]:
-    """``read_files`` for the files ``find_files`` finds for ``paths``."""
-    yield from _read(find_files(root, paths))
+def stat_read(
+    pairs: Iterable[tuple[str, str]],
+    unchanged: Callable[[str, os.stat_result], bool] | None = None,
+) -> Iterator[tuple[str, os.stat_result, bytes | None]]:
+    """Yield ``(canonical path, stat, bytes or None)`` per file of ``pairs``.
+
+    ``pairs`` are ``(canonical path, filesystem path)`` pairs as
+    ``walk_files`` or ``find_files`` list them. Each file's stat is taken
+    before its bytes are read, so the bytes are never older than the stat.
+    With ``unchanged``, each file is stat'ed by path and opened only when
+    ``unchanged(canonical path, stat)`` is false; otherwise its bytes are
+    None. Without it, each file is opened and stat'ed through its handle.
+    An unreadable file is skipped with a logged warning.
+    """
+    for rel, fs_path in pairs:
+        try:
+            if unchanged is None:
+                with open(fs_path, "rb") as handle:
+                    st = os.fstat(handle.fileno())
+                    data = handle.read()
+            else:
+                st = os.stat(fs_path)
+                data = None
+                if not unchanged(rel, st):
+                    with open(fs_path, "rb") as handle:
+                        data = handle.read()
+        except OSError as exc:
+            _skip_unreadable(rel, exc)
+            continue
+        yield rel, st, data

@@ -113,16 +113,25 @@ class RefResolver:
 
     def __init__(self, paths: Iterable[str]):
         self.paths = frozenset(paths)
-        prefixes: set[str] = set()
+        parents: set[str] = set()
         stems: set[str] = set()
         for path in self.paths:
-            slash = path.find("/")
-            while slash >= 0:
-                prefixes.add(path[:slash])
-                slash = path.find("/", slash + 1)
-            stem = sans_ext(path)
-            if stem is not None:
-                stems.add(stem)
+            slash = path.rfind("/")
+            if slash >= 0:
+                parents.add(path[:slash])
+            dot = path.rfind(".")
+            if dot > slash:  # sans_ext(path) is not None
+                stems.add(path[:dot])
+        # Every directory prefix: each parent directory and its ancestors. A
+        # directory already in the set brought its ancestors with it.
+        prefixes: set[str] = set()
+        for parent in parents:
+            while parent not in prefixes:
+                prefixes.add(parent)
+                slash = parent.rfind("/")
+                if slash < 0:
+                    break
+                parent = parent[:slash]
         self._prefixes = prefixes
         self._stems = stems
         self._sorted: list[str] | None = None

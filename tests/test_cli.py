@@ -514,7 +514,7 @@ def test_update_cli_refuses_locked_index(tmp_path, golden_copy, capsys):
 
     changes = tmp_path / "changes.txt"
     changes.write_text("D\tconfig.yaml\n", encoding="utf-8")
-    with open(golden_copy, "rb") as holder:
+    with open(f"{golden_copy}.lock", "ab") as holder:
         fcntl.flock(holder, fcntl.LOCK_EX)
         assert run(["update", str(golden_copy), "--changes", str(changes)]) == 3
     assert "locked" in capsys.readouterr().err
@@ -524,7 +524,6 @@ def test_update_cli_holds_the_lock_from_reading_to_the_store_write(
     tmp_path, golden_copy, monkeypatch
 ):
     import fcntl
-    import pathlib
 
     from aoci import cli
 
@@ -534,7 +533,7 @@ def test_update_cli_holds_the_lock_from_reading_to_the_store_write(
     probes = []
 
     def probe(when):
-        with open(golden_copy, "rb") as other:
+        with open(f"{golden_copy}.lock", "ab") as other:
             try:
                 fcntl.flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
             except BlockingIOError:
@@ -543,19 +542,19 @@ def test_update_cli_holds_the_lock_from_reading_to_the_store_write(
                 fcntl.flock(other, fcntl.LOCK_UN)
                 probes.append((when, "granted"))
 
-    read_bytes, write_text = cli._read_bytes, pathlib.Path.write_text
+    read_bytes, replace_file = cli._read_bytes, cli._replace_file
 
     def probing_read(path):
         probe("index read")
         return read_bytes(path)
 
-    def probing_write(self, *args, **kwargs):
-        if self == store:
+    def probing_write(path, *args, **kwargs):
+        if path == str(store):
             probe("store write")
-        return write_text(self, *args, **kwargs)
+        return replace_file(path, *args, **kwargs)
 
     monkeypatch.setattr(cli, "_read_bytes", probing_read)
-    monkeypatch.setattr(pathlib.Path, "write_text", probing_write)
+    monkeypatch.setattr(cli, "_replace_file", probing_write)
     args = ["update", str(golden_copy), "--changes", str(changes), "--store", str(store)]
     assert run(args) == 0
     assert probes == [("index read", "refused"), ("store write", "refused")]

@@ -427,7 +427,8 @@ def test_find_files_finds_what_the_walk_finds_listing_only_their_directories(
     found = tree.find_files(tmp_path, wanted)
     assert found == [pair for pair in walked if pair[0] in wanted]
     assert [rel for rel, _ in found] == ["a/b/c/deep.py", "a/f", "q/r.go", UNREADABLE, "y/z.go", "y/z.go"]
-    assert [data for _, _, data in tree.read_paths(tmp_path, ["q/r.go", UNREADABLE])] == [
+    read = tree.stat_read(tree.find_files(tmp_path, ["q/r.go", UNREADABLE]))
+    assert [data for _, _, data in read] == [
         b"folded dir\n"
     ]
 

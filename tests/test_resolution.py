@@ -63,6 +63,35 @@ def test_targets_equal_brute_force(data):
         assert resolver.resolves(ref) == bool(want), ref
 
 
+def _per_slash_key_sets(paths) -> tuple[set[str], set[str]]:
+    """The key sets as first built: every path's prefix before each slash,
+    and each path's ``sans_ext`` stem."""
+    prefixes, stems = set(), set()
+    for path in paths:
+        slash = path.find("/")
+        while slash >= 0:
+            prefixes.add(path[:slash])
+            slash = path.find("/", slash + 1)
+        stem = sans_ext(path)
+        if stem is not None:
+            stems.add(stem)
+    return prefixes, stems
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        path_sets,
+        # Any text over the characters that matter, leading, trailing and
+        # doubled slashes included.
+        st.sets(st.text(alphabet="ab./", max_size=10), max_size=20),
+    )
+)
+def test_key_sets_equal_the_per_slash_scan(paths):
+    resolver = RefResolver(paths)
+    assert (resolver._prefixes, resolver._stems) == _per_slash_key_sets(paths)
+
+
 def test_targets_skips_neighbours_in_sort_order():
     paths = ["a", "a-/x.go", "a.", "a.b", "a.b/c.go", "a/b.c.d", "a/x.go", "a0/y.go", "b.c.d"]
     resolver = RefResolver(paths)
