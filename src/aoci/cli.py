@@ -198,16 +198,15 @@ def _write_text(path: str, text: str) -> None:
         _replace_file(path, [text])
 
 
-def _replace_file(path: str, chunks: Iterable[str], mtime_ns: int | None = None) -> None:
+def _replace_file(path: str, chunks: Iterable[str]) -> None:
     """Write ``chunks`` to ``path`` atomically: a reader or a crash sees the
     old file or the new one, never a mix.
 
     The text goes to a hidden temporary file in the target's directory,
     which is fsynced and then renamed over the target. The new file keeps
     the old one's permission bits, and a symlinked target is written through
-    the link. ``mtime_ns``, when given, becomes the new file's mtime. A
-    target that exists and is not a regular file, such as a pipe or
-    ``/dev/stdout``, is written in place.
+    the link. A target that exists and is not a regular file, such as a
+    pipe or ``/dev/stdout``, is written in place.
     """
     try:
         mode = os.stat(path).st_mode
@@ -218,8 +217,7 @@ def _replace_file(path: str, chunks: Iterable[str], mtime_ns: int | None = None)
             stream.writelines(chunks)
         return
     target = os.path.realpath(path)
-    directory, name = os.path.split(target)
-    temp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    temp = _temp_beside(target)
     handle = open(temp, "x", encoding="utf-8")
     try:
         with handle:
@@ -228,8 +226,6 @@ def _replace_file(path: str, chunks: Iterable[str], mtime_ns: int | None = None)
             if mode is not None:
                 os.chmod(handle.fileno(), stat.S_IMODE(mode))
             os.fsync(handle.fileno())
-        if mtime_ns is not None:
-            os.utime(temp, ns=(mtime_ns, mtime_ns))
         os.replace(temp, target)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -237,22 +233,39 @@ def _replace_file(path: str, chunks: Iterable[str], mtime_ns: int | None = None)
         raise
 
 
+def _temp_beside(path: str) -> str:
+    """A fresh hidden file name in the directory of ``path``'s real target."""
+    directory, name = os.path.split(os.path.realpath(path))
+    return os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+
+
+def _clock_ns(beside: str) -> int:
+    """The file-system clock's time now: the mtime of a scratch file made
+    and removed in the directory of ``beside``."""
+    temp = _temp_beside(beside)
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    try:
+        return os.fstat(fd).st_mtime_ns
+    finally:
+        os.close(fd)
+        os.unlink(temp)
+
+
 def _load_index(path: str) -> Index:
     return parse_index(_read_bytes(path))
 
 
 @contextlib.contextmanager
-def _index_lock(path: str) -> Iterator[int | None]:
+def _index_lock(path: str) -> Iterator[None]:
     """Advisory lock against concurrent updates of the same index file.
 
     ``update`` takes it before it reads the index and the store, and holds
     it until both are written. The lock is on a sidecar file,
     ``<index>.lock``, which stays in place, because the index itself is
-    replaced by every write. Yields the file-system clock's time when the
-    lock was taken (the sidecar's fresh mtime); None for ``-``.
+    replaced by every write. An index on ``-`` takes no lock.
     """
     if path == "-":
-        yield None
+        yield
         return
     import fcntl
 
@@ -262,8 +275,7 @@ def _index_lock(path: str) -> Iterator[int | None]:
         except OSError as exc:
             raise OSError(f"index {path} is locked by another process") from exc
         try:
-            os.utime(handle.fileno())
-            yield os.fstat(handle.fileno()).st_mtime_ns
+            yield
         finally:
             fcntl.flock(handle, fcntl.LOCK_UN)
 
@@ -391,11 +403,14 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
     if not args.detect and not args.changes:
         raise ConfigError("update needs --changes, or --detect with --store")
 
-    with _index_lock(args.index) as started_ns:
+    with _index_lock(args.index):
         # Without --store the store starts empty and is never written, so the
         # index is parsed in full and --changes digests nothing.
         store = incremental.StalenessStore()
         if args.store:
+            # Taken before any file is stat'ed; no stat at or after it is
+            # recorded, since that file may change again within the tick.
+            started_ns = _clock_ns(args.store)
             try:
                 store_mtime_ns = os.stat(args.store).st_mtime_ns
             except FileNotFoundError:
@@ -404,6 +419,7 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
                 store = incremental.StalenessStore.load(
                     Path(args.store).read_text(encoding="utf-8"), store_mtime_ns
                 )
+            store.started_ns = started_ns
         file_digests: dict[str, str] = {}
         index = _update_input(args.index, store.index_digest)
         if args.detect:
@@ -451,9 +467,7 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
         if args.store:
             incremental.commit_plan(store, plan, updated, file_digests, drafts.keys())
             store.index_digest = incremental.content_digest(out.encode("utf-8"))
-            # The store's mtime is the time the lock was taken, so a file
-            # changed while this update ran is never trusted by its stat.
-            _replace_file(args.store, store.lines(), started_ns)
+            _replace_file(args.store, store.lines())
     return ExitCode.OK
 
 

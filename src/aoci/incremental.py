@@ -23,8 +23,11 @@ the stat its file had when the bytes behind the content digest were read
 file only when its stat differs from that field, when the field's mtime is
 not strictly older than the store file's own mtime (git's racy-timestamp
 rule), or when the row is pending; 3-field rows carry no stat and are always
-re-read. ``aoci update`` sets the store's mtime to the time it took its
-lock, so a file changed while it ran is never trusted. Setting a row's
+re-read. ``aoci update`` takes the file-system clock's time when it starts,
+just after taking its lock, and records no stat whose mtime is at or after
+that time, because the file may have changed in the same clock tick after
+its read. So every stored stat is older than the store, and a later write
+of the store cannot make a racy stat trusted. Setting a row's
 digests drops its stat unless the file was read with that content digest in
 the same run. One more line,
 ``\\t<index digest>\\t``, has an empty path
@@ -274,7 +277,12 @@ class StalenessStore:
     when the bytes behind its content digest were read (the optional 4th
     field). ``mtime_ns`` is the store file's own mtime at load; a recorded
     stat is trusted only while its mtime is strictly older (the racy rule),
-    and a store not loaded from a file trusts none. ``index_digest`` is the
+    and a store not loaded from a file trusts none. ``started_ns`` is the
+    file-system clock's time when this run began: ``observe`` records a
+    stat only when its mtime is strictly older, so a stat that was racy when
+    it was taken never enters the store, and a later write with a newer
+    mtime cannot make it trusted. It is 0, recording no stat, until the
+    caller sets it. ``index_digest`` is the
     digest of the index bytes the last update wrote, kept on a line with an
     empty path; empty when unknown.
     """
@@ -290,7 +298,8 @@ class StalenessStore:
         self.index_digest = index_digest
         self.stats: dict[str, str] = dict(stats or {})
         self.mtime_ns = mtime_ns
-        # path -> (content digest, stat key) of each file read in this run.
+        self.started_ns = 0
+        # path -> (content digest, stat key or "") of each file read in this run.
         self._observed: dict[str, tuple[str, str]] = {}
 
     @classmethod
@@ -318,9 +327,7 @@ class StalenessStore:
             if not path:
                 index_digest = content
                 continue
-            # canonical_path changes or rejects only these paths.
-            if "\\" in path or "//" in path or path.startswith("./"):
-                path = canonical_path(path)
+            path = canonical_path(path)
             records[path] = (content, entry)
             if stat:
                 stats[path] = stat
@@ -348,7 +355,7 @@ class StalenessStore:
         path = canonical_path(path)
         self.records[path] = (content, entry)
         observed = self._observed.get(path)
-        if content and observed is not None and observed[0] == content:
+        if content and observed is not None and observed[0] == content and observed[1]:
             self.stats[path] = observed[1]
         else:
             self.stats.pop(path, None)
@@ -390,13 +397,18 @@ class StalenessStore:
         stat'ed as ``st``.
 
         A row whose content digest equals ``digest`` takes the fresh stat at
-        once (a touch); ``set`` gives it to a row later set to ``digest``.
+        once (a touch); ``set`` gives it to a row later set to ``digest``. A
+        stat whose mtime is not strictly older than ``started_ns`` is racy:
+        the row keeps no stat, and the file is read again next time.
         """
-        stat = stat_key(st)
+        stat = stat_key(st) if st.st_mtime_ns < self.started_ns else ""
         self._observed[path] = (digest, stat)
         known = self.records.get(path)
         if known is not None and known[0] == digest:
-            self.stats[path] = stat
+            if stat:
+                self.stats[path] = stat
+            else:
+                self.stats.pop(path, None)
 
 
 def detect_stale(

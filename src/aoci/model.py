@@ -47,6 +47,9 @@ def canonical_path(raw: str) -> str:
     Raises:
         InvalidPath: if ``raw`` is empty or normalizes to the empty string.
     """
+    # Paths already canonical, the common case, come back as they are.
+    if raw and "\\" not in raw and "//" not in raw and not raw.startswith("./"):
+        return raw
     if not raw:
         raise InvalidPath("empty path")
     path = raw.replace("\\", "/")
@@ -60,9 +63,7 @@ def canonical_path(raw: str) -> str:
 
 
 def _check_path(path: str) -> str:
-    # canonical_path changes or rejects only these paths; skip it for the rest.
-    if not path or "\\" in path or "//" in path or path.startswith("./"):
-        path = canonical_path(path)
+    path = canonical_path(path)
     if _PATH_FORBIDDEN.search(path):
         raise InvariantError(
             f"path {path!r} contains characters the entry grammar reserves: "

@@ -115,11 +115,15 @@ def _skip_unreadable(rel: str, exc: OSError) -> None:
     logging.getLogger(__name__).warning("skipping unreadable file %s: %s", rel, exc)
 
 
+def _read_file(fs_path: str) -> bytes:
+    with open(fs_path, "rb") as handle:
+        return handle.read()
+
+
 def _read(pairs: Iterable[tuple[str, str]]) -> Iterator[tuple[str, str, bytes]]:
     for rel, fs_path in pairs:
         try:
-            with open(fs_path, "rb") as handle:
-                data = handle.read()
+            data = _read_file(fs_path)
         except OSError as exc:
             _skip_unreadable(rel, exc)
             continue
@@ -147,25 +151,16 @@ def stat_read(
     """Yield ``(canonical path, stat, bytes or None)`` per file of ``pairs``.
 
     ``pairs`` are ``(canonical path, filesystem path)`` pairs as
-    ``walk_files`` or ``find_files`` list them. Each file's stat is taken
-    before its bytes are read, so the bytes are never older than the stat.
-    With ``unchanged``, each file is stat'ed by path and opened only when
-    ``unchanged(canonical path, stat)`` is false; otherwise its bytes are
-    None. Without it, each file is opened and stat'ed through its handle.
-    An unreadable file is skipped with a logged warning.
+    ``walk_files`` or ``find_files`` list them. Each file is stat'ed by path
+    before it is opened, so its bytes are never older than its stat. With
+    ``unchanged``, a file for which ``unchanged(canonical path, stat)`` is
+    true is not opened, and its bytes are None. An unreadable file is
+    skipped with a logged warning.
     """
     for rel, fs_path in pairs:
         try:
-            if unchanged is None:
-                with open(fs_path, "rb") as handle:
-                    st = os.fstat(handle.fileno())
-                    data = handle.read()
-            else:
-                st = os.stat(fs_path)
-                data = None
-                if not unchanged(rel, st):
-                    with open(fs_path, "rb") as handle:
-                        data = handle.read()
+            st = os.stat(fs_path)
+            data = None if unchanged is not None and unchanged(rel, st) else _read_file(fs_path)
         except OSError as exc:
             _skip_unreadable(rel, exc)
             continue

@@ -10,6 +10,7 @@ reports.
 from __future__ import annotations
 
 import collections
+import io
 import os
 import shutil
 import subprocess
@@ -245,14 +246,60 @@ def test_a_racy_stat_is_not_trusted(tmp_path):
     )
 
 
+def test_a_stat_taken_at_or_after_the_run_started_is_never_recorded(tmp_path):
+    (tmp_path / "f.go").write_bytes(b"package f\n")
+    st = os.stat(tmp_path / "f.go")
+    digest = content_digest(b"package f\n")
+    store = StalenessStore({"f.go": (digest, "e")}, stats={"f.go": "old"})
+    for started_ns in (st.st_mtime_ns, st.st_mtime_ns - 1):
+        store.started_ns = started_ns
+        store.observe("f.go", digest, st)  # a touch, but racy: the old stat goes
+        assert "f.go" not in store.stats
+        store.set("f.go", digest, "e2")  # the racy read gives no stat to set
+        assert "f.go" not in store.stats
+    store.started_ns = st.st_mtime_ns + 1
+    store.observe("f.go", digest, st)
+    assert store.stats["f.go"] == stat_key(st)
+
+
+def test_a_racy_read_leaves_no_stat_for_a_later_write_to_trust(tmp_path):
+    repo = seeded(tmp_path)
+    # a.go changes in the clock tick of the run that reads it: its mtime is
+    # not older than the run's start, however the clock is cut.
+    repo.write("a.go", b"package A.GO\n", aged=False)
+    ahead = time.time_ns() + 3600 * SECOND
+    os.utime(repo.path("a.go"), ns=(ahead, ahead))
+    code, reported = repo.detect([draft("a.go", "again")])
+    assert (code, reported) == (0, (ChangeRecord(ChangeStatus.MODIFIED, "a.go"),))
+    assert "a.go" not in repo.load_store().stats
+
+    # A --changes run that does not list a.go writes the store anew, with a
+    # later mtime; a.go still has no stat, so the next --detect reads it.
+    repo.write("b.py", b"package b, changed\n")
+    listing = tmp_path / "changes.txt"
+    listing.write_text("M\tb.py\n", encoding="utf-8")
+    assert repo.update("--changes", str(listing), drafts=[draft("b.py", "again")])[0] == 0
+    assert "a.go" not in repo.load_store().stats
+    opened, (code, reported) = repo.opened_by(repo.detect)
+    assert (code, reported, opened) == (0, (), collections.Counter(["a.go"]))
+
+    # Once its mtime is older than a run's start, the read records its stat.
+    repo.age("a.go")
+    opened, (code, reported) = repo.opened_by(repo.detect)
+    assert (code, reported, opened) == (0, (), collections.Counter(["a.go"]))
+    assert repo.load_store().stats["a.go"] == stat_key(os.stat(repo.path("a.go")))
+
+
 def test_setting_a_row_drops_its_stat_unless_this_run_read_that_content(tmp_path):
     for name in ("a.go", "b.go", "c.go"):
         (tmp_path / name).write_bytes(name.encode())
     st = {name: os.stat(tmp_path / name) for name in ("a.go", "b.go", "c.go")}
+    started_ns = max(info.st_mtime_ns for info in st.values()) + 1
     store = StalenessStore(
         {name: (content_digest(name.encode()), "e") for name in st},
         stats={name: "old" for name in st},
     )
+    store.started_ns = started_ns
     store.observe("b.go", content_digest(b"changed"), st["b.go"])
     assert store.stats["b.go"] == "old"  # a changed file keeps the row's stat until set
     store.observe("a.go", content_digest(b"a.go"), st["a.go"])
@@ -270,6 +317,7 @@ def test_setting_a_row_drops_its_stat_unless_this_run_read_that_content(tmp_path
     store = StalenessStore(
         {"a.go": ("ca", "e"), "b.go": ("cb", "e")}, stats={"a.go": "sa", "b.go": "sb"}
     )
+    store.started_ns = started_ns
     store.observe("y.go", "cb", st["b.go"])
     lines = scan_index(HEADER + draft("x.go") + "\n" + draft("y.go") + "\n")
     plan = plan_update(
@@ -296,23 +344,43 @@ def test_changes_with_a_store_records_the_stats_of_the_files_it_digests(tmp_path
     assert (code, reported, opened) == (0, (), collections.Counter())
 
 
-def test_the_store_mtime_is_the_time_the_lock_was_taken(tmp_path, monkeypatch):
+@pytest.mark.parametrize("index_on_stdin", [False, True], ids=["index-file", "index-stdin"])
+def test_a_file_changed_after_the_update_started_gets_no_stat(
+    tmp_path, monkeypatch, capsys, index_on_stdin
+):
     repo = seeded(tmp_path)
-    written_during_the_run = []
+    ahead = time.time_ns() + 3600 * SECOND
+    os.utime(repo.path("b.py"), ns=(ahead, ahead))  # a touch with a racy mtime
     real = incremental.collect_file_digests
+    probe = tmp_path / "probe"
+    probe.touch()
 
-    def writing_after_the_digests(*args, **kwargs):
-        digests = real(*args, **kwargs)
-        repo.write("late.go", b"package late\n", aged=False)
-        written_during_the_run.append(os.stat(repo.path("late.go")).st_mtime_ns)
-        return digests
+    def touching_before_the_walk(*args, **kwargs):
+        os.utime(repo.path("d/c.go"))  # a touch while the update runs
+        touched = os.stat(repo.path("d/c.go")).st_mtime_ns
+        # Let the file-system clock pass the touch, so a start time read
+        # after it would be newer than d/c.go.
+        for _ in range(10_000):
+            os.utime(probe)
+            if os.stat(probe).st_mtime_ns > touched:
+                break
+            time.sleep(0.001)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(incremental, "collect_file_digests", writing_after_the_digests)
-    assert repo.detect()[0] == 0
-    store_mtime = os.stat(repo.store).st_mtime_ns
-    assert store_mtime == os.stat(repo.index + ".lock").st_mtime_ns
-    # Anything written while the update ran is racy against the store.
-    assert store_mtime <= written_during_the_run[0]
+    monkeypatch.setattr(incremental, "collect_file_digests", touching_before_the_walk)
+    if index_on_stdin:
+        with open(repo.index, "rb") as handle:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(handle.read())))
+        monkeypatch.chdir(repo.root)
+        assert run(["update", "-", "--detect", "--store", repo.store]) == 0
+        assert capsys.readouterr().out.startswith("#AOCI 1\n")
+    else:
+        assert repo.detect() == (0, ())
+    # With the index on stdin, idx.aoci is one more walked file.
+    stored = repo.load_store()
+    assert {"a.go", "b.py", "d/c.go"} <= set(stored.records)
+    assert "b.py" not in stored.stats and "d/c.go" not in stored.stats
+    assert stored.stats["a.go"] == stat_key(os.stat(repo.path("a.go")))
 
 
 # ---------------------------------------------------------------------------
