@@ -394,7 +394,7 @@ def _update_input(path: str, known_digest: str) -> IndexLines:
 
 
 def _cmd_update(args: argparse.Namespace) -> ExitCode:
-    from . import incremental, tree
+    from . import incremental
 
     if args.detect and not args.store:
         raise ConfigError("--detect requires --store")
@@ -433,16 +433,18 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
             changes = incremental.parse_changeset(_read_text(args.changes))
             if args.store:
                 # Digest the touched files so the store records their current
-                # content; files that are gone simply stay undigested.
+                # content; files that are gone simply stay undigested. No
+                # exclude globs: a listed file is digested even if it is the
+                # index or the store.
                 touched = [
-                    path
+                    glob.escape(path)
                     for record in changes.records
                     for path in (record.path, record.new_path)
                     if path
                 ]
-                for path, st, data in tree.stat_read(tree.find_files(os.getcwd(), touched)):
-                    digest = file_digests[path] = incremental.content_digest(data)
-                    store.observe(path, digest, st)
+                file_digests = dict(
+                    incremental.collect_file_digests(os.getcwd(), touched, store=store)
+                )
 
         drafts: dict[str, CodeEntry] = {}
         if args.drafts:

@@ -19,15 +19,16 @@ over the file's raw bytes, the second over the UTF-8 bytes of the entry's
 canonical line. An empty content digest marks the entry as pending
 regeneration. A row may carry a 4th field, ``size:mtime_ns:ctime_ns:inode``,
 the stat its file had when the bytes behind the content digest were read
-(the stat is always taken before the read). ``update --detect`` re-reads a
-file only when its stat differs from that field, when the field's mtime is
-not strictly older than the store file's own mtime (git's racy-timestamp
-rule), or when the row is pending; 3-field rows carry no stat and are always
-re-read. ``aoci update`` takes the file-system clock's time when it starts,
-just after taking its lock, and records no stat whose mtime is at or after
-that time, because the file may have changed in the same clock tick after
-its read. So every stored stat is older than the store, and a later write
-of the store cannot make a racy stat trusted. Setting a row's
+(the stat is always taken before the read). ``update --detect``, and
+``--changes`` for the files it lists, re-reads a file only when its stat
+differs from that field, when the field's mtime is not strictly older than
+the store file's own mtime (git's racy-timestamp rule), or when the row is
+pending; 3-field rows carry no stat and are always re-read. ``aoci update``
+takes the file-system clock's time when it starts, just after taking its
+lock, and records no stat whose mtime is at or after that time, because the
+file may have changed in the same clock tick after its read. So every
+stored stat is older than the store, and a later write of the store cannot
+make a racy stat trusted. Setting a row's
 digests drops its stat unless the file was read with that content digest in
 the same run. One more line,
 ``\\t<index digest>\\t``, has an empty path
@@ -145,7 +146,8 @@ class UpdatePlan:
     """The minimal index update implied by a change set.
 
     ``regenerate`` paths need fresh semantic content (added or modified
-    files). ``ref_rewrites`` hosts are keyed by their pre-rename path;
+    files). ``remove`` paths lose their entry, if any, and their store row.
+    ``ref_rewrites`` hosts are keyed by their pre-rename path;
     ``dangling_after`` reports post-rename paths, describing the applied
     index, so it lines up with validator rule E2 afterwards.
     """
@@ -194,8 +196,7 @@ def plan_update(index: Index | IndexLines, changes: ChangeSet) -> UpdatePlan:
         elif rec.status is ChangeStatus.DELETED:
             if rec.path not in entry_paths:
                 warnings.append(f"no entry for deleted path {rec.path}")
-            else:
-                remove.append(rec.path)
+            remove.append(rec.path)
         else:
             if rec.path not in entry_paths:
                 warnings.append(f"no entry for renamed path {rec.path}; indexing {rec.new_path}")
@@ -582,20 +583,20 @@ def collect_file_digests(
     exclude_globs: Iterable[str] = (),
     store: StalenessStore | None = None,
 ) -> list[tuple[str, str]]:
-    """Digest every file ``tree.walk_files`` lists, for staleness detection.
+    """Digest every file ``tree.walk_files`` lists, for ``update``.
 
     The walk is the one ``scaffold_repo`` drafts from, so detection sees the
-    same files. One ``(path, digest)`` pair comes out per walked file, in
-    walk order. With a ``store``, each file is stat'ed first, and a file the
-    store says is ``unchanged`` keeps its recorded digest unread; every
-    other file is read once, from the filesystem path the walk found, and
-    its digest and stat go to ``store.observe``. Unreadable files are
-    skipped with a logged warning; a root that is not a directory raises
-    OSError.
+    same files; ``update --changes`` passes the listed paths, escaped, as
+    include globs. One ``(path, digest)`` pair comes out per walked file, in
+    walk order. With a ``store``, a file ``tree.stat_read`` finds
+    ``store.unchanged`` keeps its recorded digest unread; every other file
+    is read once, from the filesystem path the walk found, and its digest
+    and stat go to ``store.observe``. Unreadable files are skipped with a
+    logged warning; a root that is not a directory raises OSError.
     """
     unchanged = None if store is None else store.unchanged
     out: list[tuple[str, str]] = []
-    for path, st, data in stat_read(walk_files(root, include_globs, exclude_globs), unchanged):
+    for path, _, st, data in stat_read(walk_files(root, include_globs, exclude_globs), unchanged):
         if data is None:  # only with a store, which vouched for its digest
             out.append((path, store.records[path][0]))
             continue

@@ -61,7 +61,7 @@ from .model import (
     TagDictionary,
     canonical_path,
 )
-from .tree import read_files
+from .tree import stat_read, walk_files
 # resolves_to is unused here; perfbench/spans.py patches aoci.scaffold.resolves_to by name.
 from .validator import DEFAULT_BUDGETS, RefResolver, budget_for, resolves_to  # noqa: F401
 
@@ -296,12 +296,12 @@ def scan_repo(
     include_globs: Iterable[str] = ("*",),
     exclude_globs: Iterable[str] = (),
 ) -> list[ScannedFile]:
-    """List the files ``tree.read_files`` yields, with line counts, in walk order.
+    """List the files ``tree.walk_files`` finds, with line counts, in walk order.
 
-    Each file is read once, from the filesystem path the walk found, which
-    ``ScannedFile.fs_path`` carries on to the later reads. Unreadable files
-    are skipped with a logged warning; a root that is not a directory
-    raises OSError.
+    Each file is read once by ``tree.stat_read``, from the filesystem path
+    the walk found, which ``ScannedFile.fs_path`` carries on to the later
+    reads. Unreadable files are skipped with a logged warning; a root that
+    is not a directory raises OSError.
     """
     return [
         ScannedFile(
@@ -310,7 +310,7 @@ def scan_repo(
             ext=os.path.splitext(fs_path)[1].lower(),
             fs_path=fs_path,
         )
-        for rel, fs_path, data in read_files(root, include_globs, exclude_globs)
+        for rel, fs_path, _, data in stat_read(walk_files(root, include_globs, exclude_globs))
     ]
 
 

@@ -1,8 +1,9 @@
 """Finding and opening repository files: the one tree-walk rule.
 
-Drafting (``scaffold``), coverage checking and staleness detection
-(``update --detect``) must see the same files in the same way, or the index
-drifts from the code it describes. So the rule lives here alone:
+Drafting (``scaffold``), coverage checking and digesting for ``update``
+(``--detect`` and ``--changes``) must see the same files in the same way,
+or the index drifts from the code it describes. So the rule lives here
+alone, in one walker (``walk_files``) and one reader (``stat_read``):
 
 - hidden directories and files (leading dot) are skipped;
 - include and exclude globs match whole canonical paths, with ``*``
@@ -26,6 +27,9 @@ from typing import Callable, Iterable, Iterator
 
 from .model import canonical_path
 
+# Where a glob's literal head ends: no match can differ from it before here.
+_HEAD_END = re.compile(r"[*?[]")
+
 
 def any_glob(globs: Iterable[str]) -> Callable[[str], object]:
     """One compiled matcher for "the path matches any of ``globs``".
@@ -37,32 +41,25 @@ def any_glob(globs: Iterable[str]) -> Callable[[str], object]:
     return re.compile("|".join(translate(glob) for glob in globs) or "(?!)").match
 
 
-def _walk(
-    root: str, enter: Callable[[str], bool] = lambda raw_dir: True
-) -> Iterator[tuple[str, str]]:
+def _walk(root: str, enter: Callable[[str], bool]) -> Iterator[tuple[str, str]]:
     """Yield ``(canonical path, filesystem path)`` for every visible file.
 
     Directories are visited top-down, subdirectories and files each in name
-    order. A subdirectory is entered only when ``enter`` accepts its raw
-    relative path, ending in a separator.
+    order. A subdirectory is entered only when ``enter`` accepts its
+    canonical path, ending in ``/``.
     """
     for dirpath, dirnames, filenames in os.walk(root):
         rel_dir = os.path.relpath(dirpath, root)
         prefix = "" if rel_dir == os.curdir else rel_dir + os.sep
         dirnames[:] = sorted(
-            d for d in dirnames if not d.startswith(".") and enter(prefix + d + os.sep)
+            d
+            for d in dirnames
+            if not d.startswith(".") and enter(canonical_path(prefix + d + os.sep))
         )
         fs_prefix = os.path.join(dirpath, "")
         for filename in sorted(filenames):
             if not filename.startswith("."):
                 yield canonical_path(prefix + filename), fs_prefix + filename
-
-
-def _check_root(root: str | os.PathLike[str]) -> str:
-    root = os.fspath(root)
-    if not os.path.isdir(root):
-        raise OSError(f"not a readable directory: {root}")
-    return root
 
 
 def walk_files(
@@ -73,36 +70,27 @@ def walk_files(
     """List eligible files as ``(canonical path, filesystem path)`` pairs.
 
     Pairs come out in lexicographic canonical-path order, ties in walk
-    order. Nothing is opened. A root that is not a directory raises OSError.
+    order. Nothing is opened. A directory is entered only when some include
+    glob can match a path under it: every match of a glob starts with the
+    glob's literal head, the text before its first ``*``, ``?`` or ``[``,
+    so the directory's canonical path plus ``/`` and some head must be
+    prefix-compatible (one starts with the other). The default ``("*",)``
+    has the empty head and enters every directory. A root that is not a
+    directory raises OSError.
     """
-    root = _check_root(root)
+    root = os.fspath(root)
+    if not os.path.isdir(root):
+        raise OSError(f"not a readable directory: {root}")
+    include_globs = tuple(include_globs)
+    heads = {_HEAD_END.split(glob, 1)[0] for glob in include_globs}
     included = any_glob(include_globs)
     excluded = any_glob(exclude_globs)
     out = [
         (rel, fs_path)
-        for rel, fs_path in _walk(root)
+        for rel, fs_path in _walk(
+            root, lambda dir_: any(h.startswith(dir_) or dir_.startswith(h) for h in heads)
+        )
         if included(rel) and not excluded(rel)
-    ]
-    out.sort(key=lambda item: item[0])
-    return out
-
-
-def find_files(root: str | os.PathLike[str], paths: Iterable[str]) -> list[tuple[str, str]]:
-    """The walked files whose canonical paths are among ``paths``.
-
-    Returns ``(canonical path, filesystem path)`` pairs as ``walk_files``
-    would order them, but lists only the directories that can hold one of
-    ``paths``. A canonical path may name a file whose filesystem path
-    differs, such as ``y\\z.go`` for ``y/z.go``, or several files, which all
-    come out, in walk order. A root that is not a directory raises OSError.
-    """
-    root = _check_root(root)
-    wanted = set(paths)
-    dirs = {path[: i + 1] for path in wanted for i, ch in enumerate(path) if ch == "/"}
-    out = [
-        (rel, fs_path)
-        for rel, fs_path in _walk(root, lambda raw_dir: canonical_path(raw_dir) in dirs)
-        if rel in wanted
     ]
     out.sort(key=lambda item: item[0])
     return out
@@ -120,42 +108,19 @@ def _read_file(fs_path: str) -> bytes:
         return handle.read()
 
 
-def _read(pairs: Iterable[tuple[str, str]]) -> Iterator[tuple[str, str, bytes]]:
-    for rel, fs_path in pairs:
-        try:
-            data = _read_file(fs_path)
-        except OSError as exc:
-            _skip_unreadable(rel, exc)
-            continue
-        yield rel, fs_path, data
-
-
-def read_files(
-    root: str | os.PathLike[str],
-    include_globs: Iterable[str],
-    exclude_globs: Iterable[str],
-) -> Iterator[tuple[str, str, bytes]]:
-    """Yield ``(canonical path, filesystem path, bytes)`` per walked file.
-
-    Each file is read once, in walk order, from its filesystem path. An
-    unreadable file is skipped with a logged warning. A root that is not a
-    directory raises OSError when iteration starts.
-    """
-    yield from _read(walk_files(root, include_globs, exclude_globs))
-
-
 def stat_read(
     pairs: Iterable[tuple[str, str]],
     unchanged: Callable[[str, os.stat_result], bool] | None = None,
-) -> Iterator[tuple[str, os.stat_result, bytes | None]]:
-    """Yield ``(canonical path, stat, bytes or None)`` per file of ``pairs``.
+) -> Iterator[tuple[str, str, os.stat_result, bytes | None]]:
+    """Yield ``(canonical path, filesystem path, stat, bytes or None)`` per
+    file of ``pairs``; this is the one loop that reads repository files.
 
     ``pairs`` are ``(canonical path, filesystem path)`` pairs as
-    ``walk_files`` or ``find_files`` list them. Each file is stat'ed by path
-    before it is opened, so its bytes are never older than its stat. With
-    ``unchanged``, a file for which ``unchanged(canonical path, stat)`` is
-    true is not opened, and its bytes are None. An unreadable file is
-    skipped with a logged warning.
+    ``walk_files`` lists them. Each file is stat'ed by path before it is
+    opened, so its bytes are never older than its stat. With ``unchanged``,
+    a file for which ``unchanged(canonical path, stat)`` is true is not
+    opened, and its bytes are None. An unreadable file is skipped with a
+    logged warning.
     """
     for rel, fs_path in pairs:
         try:
@@ -164,4 +129,4 @@ def stat_read(
         except OSError as exc:
             _skip_unreadable(rel, exc)
             continue
-        yield rel, st, data
+        yield rel, fs_path, st, data

@@ -18,6 +18,7 @@ from aoci.model import (
     Index,
     TableEntry,
     TagDictionary,
+    canonical_path,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -332,9 +333,22 @@ def make_walk_tree(root: Path) -> None:
     os.symlink(root / "nowhere.go", root / UNREADABLE)
 
 
+def make_folded_walk_tree(root: Path) -> None:
+    """``make_walk_tree`` plus files whose canonical paths fold a backslash:
+    ``y\\z.go`` beside a real ``y/z.go``, and ``r.go`` in a ``q\\``
+    directory (canonical path ``q/r.go``). POSIX only."""
+    make_walk_tree(root)
+    (root / "y").mkdir()
+    (root / "y" / "z.go").write_bytes(b"real\n")
+    (root / "y\\z.go").write_bytes(b"folded\n")
+    (root / "q\\").mkdir()
+    (root / "q\\" / "r.go").write_bytes(b"folded dir\n")
+
+
 def reference_walk(root: Path, include, exclude) -> list[tuple[str, bytes, str]]:
     """``(path, bytes, file name)`` of every readable visible file that the
-    globs admit, in path order, found the slow way: a ``relpath`` per file."""
+    globs admit, in path order, found the slow way: a ``relpath`` per file,
+    canonicalized, so ``y\\z.go`` comes out as ``y/z.go``."""
     out = []
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = [d for d in dirnames if not d.startswith(".")]
@@ -342,7 +356,7 @@ def reference_walk(root: Path, include, exclude) -> list[tuple[str, bytes, str]]
             if filename.startswith("."):
                 continue
             full = os.path.join(dirpath, filename)
-            rel = os.path.relpath(full, root).replace(os.sep, "/")
+            rel = canonical_path(os.path.relpath(full, root))
             if not any(fnmatchcase(rel, glob) for glob in include):
                 continue
             if any(fnmatchcase(rel, glob) for glob in exclude):

@@ -509,6 +509,32 @@ def test_update_cli_detect_skips_its_own_index_and_store(tmp_path, monkeypatch, 
     assert stored.paths() == frozenset({"middleware/auth.go"})
 
 
+def test_update_cli_detect_drops_the_row_of_a_deleted_unindexed_path(
+    tmp_path, monkeypatch, capsys
+):
+    # A listed file without an entry is marked pending; once it is deleted,
+    # one --detect warns about it and drops its row, and the next is quiet.
+    repo = tmp_path / "repo"
+    (repo / "middleware").mkdir(parents=True)
+    monkeypatch.chdir(repo)
+    (repo / "middleware" / "auth.go").write_text("package middleware\n", encoding="utf-8")
+    (repo / "b.py").write_text("import os\n", encoding="utf-8")
+    index_path = tmp_path / "idx.aoci"
+    index_path.write_text(DETECT_INDEX, encoding="utf-8")
+    store = tmp_path / "s.tsv"
+    assert _update_with_store(index_path, store, tmp_path, "M\tb.py\n") == 0
+    assert StalenessStore.load(store.read_text(encoding="utf-8")).get("b.py") == ("", "")
+    (repo / "b.py").unlink()
+    capsys.readouterr()
+
+    detect = ["update", str(index_path), "--detect", "--store", str(store)]
+    assert run(detect) == 0
+    assert "warning: no entry for deleted path b.py\n" in capsys.readouterr().err
+    assert run(detect) == 0
+    assert "b.py" not in capsys.readouterr().err
+    assert "b.py" not in StalenessStore.load(store.read_text(encoding="utf-8")).paths()
+
+
 def test_update_cli_refuses_locked_index(tmp_path, golden_copy, capsys):
     import fcntl
 

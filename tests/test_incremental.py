@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import glob
 import hashlib
 import os
 import random
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import (
     UNREADABLE,
     WALK_GLOB_SETS,
+    make_folded_walk_tree,
     make_index,
     make_reference_dictionary,
     make_walk_tree,
@@ -128,7 +130,10 @@ def test_plan_missing_entry_warns(listing_index):
     plan = plan_update(listing_index, parse_changeset("M\tnot/indexed.go\nD\talso/gone.go"))
     assert len(plan.warnings) == 2
     assert plan.regenerate == ("not/indexed.go",)
-    assert plan.remove == ()
+    # The unindexed deletion is removed all the same, so commit_plan drops
+    # its store row; the applier skips a path with no line.
+    assert plan.remove == ("also/gone.go",)
+    assert apply_update(listing_index, plan) == listing_index
 
 
 def test_apply_remove_keeps_other_lines_byte_identical(listing_index):
@@ -413,25 +418,20 @@ def test_collect_file_digests_opens_each_file_once(tmp_path, monkeypatch, caplog
 
 
 @pytest.mark.skipif(os.sep == "\\", reason="a backslash is a separator on this platform")
-def test_find_files_finds_what_the_walk_finds_listing_only_their_directories(
+def test_walking_escaped_paths_finds_what_the_walk_finds_listing_only_their_directories(
     tmp_path, monkeypatch
 ):
-    make_walk_tree(tmp_path)
-    (tmp_path / "y").mkdir()
-    (tmp_path / "y" / "z.go").write_bytes(b"real\n")
-    (tmp_path / "y\\z.go").write_bytes(b"folded\n")  # canonical path y/z.go as well
-    (tmp_path / "q\\").mkdir()
-    (tmp_path / "q\\" / "r.go").write_bytes(b"folded dir\n")  # canonical path q/r.go
+    make_folded_walk_tree(tmp_path)
     wanted = [
         "a/f", "a/b/c/deep.py", "y/z.go", "q/r.go", UNREADABLE,
         ".env", "src/.hidden.go", "src/.cache/c.py", "a", "missing/x.go",
     ]
     walked = tree.walk_files(tmp_path)
-    found = tree.find_files(tmp_path, wanted)
+    found = tree.walk_files(tmp_path, [glob.escape(p) for p in wanted])
     assert found == [pair for pair in walked if pair[0] in wanted]
     assert [rel for rel, _ in found] == ["a/b/c/deep.py", "a/f", "q/r.go", UNREADABLE, "y/z.go", "y/z.go"]
-    read = tree.stat_read(tree.find_files(tmp_path, ["q/r.go", UNREADABLE]))
-    assert [data for _, _, data in read] == [
+    read = tree.stat_read(tree.walk_files(tmp_path, [glob.escape("q/r.go"), glob.escape(UNREADABLE)]))
+    assert [data for *_, data in read] == [
         b"folded dir\n"
     ]
 
@@ -444,8 +444,61 @@ def test_find_files_finds_what_the_walk_finds_listing_only_their_directories(
             yield item
 
     monkeypatch.setattr(os, "walk", recording_walk)
-    tree.find_files(tmp_path, ["a/b/c/deep.py"])
+    tree.walk_files(tmp_path, [glob.escape("a/b/c/deep.py")])
     assert visited == [".", "a", os.path.join("a", "b"), os.path.join("a", "b", "c")]
+
+
+@pytest.fixture(scope="module")
+def folded_tree(tmp_path_factory):
+    root = tmp_path_factory.mktemp("folded")
+    make_folded_walk_tree(root)
+    return root
+
+
+# Glob pieces: wildcards, classes, separators, a backslash, letters and names
+# of the folded walk tree.
+_GLOB_PIECES = st.one_of(
+    st.sampled_from(["*", "?", "/", ".", "\\", "[", "]", "!"]),
+    st.sampled_from(list("abcfgmnopqrsyz")),
+    st.sampled_from(["a", "a/b", "src", "deep", "go", "py", "y/z", "q/r", "n/m", "a.b", "a-b"]),
+    st.builds(
+        lambda neg, chars: "[" + neg + chars + "]",
+        st.sampled_from(["", "!"]),
+        st.text(alphabet="abcgmoqrsyz./\\-", min_size=1, max_size=3),
+    ),
+)
+
+
+def _blurred(path: str):
+    """Globs made from ``path`` with some characters dropped or turned into
+    wildcards or classes, so that most of them match a file of the tree."""
+    return st.tuples(
+        *(st.sampled_from([ch, ch, ch, "?", "*", f"[{ch}]", "[!a]", ""]) for ch in path)
+    ).map("".join)
+
+
+_GLOBS = st.lists(
+    st.one_of(
+        st.lists(_GLOB_PIECES, max_size=6).map("".join),
+        st.sampled_from(
+            ["a/f", "a.b/f", "a-b/f", "a/b/c/deep.py", "n/m/k.PY", "y/z.go", "q/r.go", UNREADABLE]
+        ).flatmap(_blurred),
+    ),
+    max_size=3,
+)
+
+
+@pytest.mark.skipif(os.sep == "\\", reason="a backslash is a separator on this platform")
+@settings(max_examples=300, deadline=None)
+@given(_GLOBS, _GLOBS)
+def test_the_pruned_walk_matches_a_full_walk_filtered_by_fnmatch(folded_tree, include, exclude):
+    walked = tree.walk_files(folded_tree, include, exclude)
+    admitted = any(fnmatchcase(UNREADABLE, g) for g in include) and not any(
+        fnmatchcase(UNREADABLE, g) for g in exclude
+    )
+    assert (UNREADABLE in dict(walked)) == admitted
+    read = [(rel, data) for rel, _, _, data in tree.stat_read(walked)]
+    assert read == [(rel, data) for rel, data, _ in reference_walk(folded_tree, include, exclude)]
 
 
 def test_store_round_trip_with_index_digest():

@@ -181,6 +181,31 @@ def test_a_warm_detect_opens_only_the_files_whose_stat_changed(tmp_path):
     )
 
 
+def test_changes_opens_only_the_listed_files_whose_stat_changed(tmp_path):
+    repo = seeded(tmp_path, ("a.go", "b.py", "d/c.go", "e.go", "f.go"))
+    repo.write("a.go", b"package a, modified\n")
+    repo.write("h.go", b"package h\n")
+    os.makedirs(repo.path("g"))
+    os.rename(repo.path("e.go"), repo.path("g/e.go"))
+    changes = os.path.join(str(tmp_path), "changes.txt")
+    with open(changes, "w", encoding="utf-8") as handle:
+        handle.write("M\ta.go\nM\tb.py\nA\th.go\nR100\te.go\tg/e.go\n")
+
+    # b.py is listed but untouched: its trusted stat spares the read.
+    drafts = [draft(name) for name in ("a.go", "b.py", "h.go")]
+    opened, (code, _) = repo.opened_by(lambda: repo.update("--changes", changes, drafts=drafts))
+    assert code == 0
+    assert opened == collections.Counter(["a.go", "g/e.go", "h.go"])
+    # b.py was regenerated from its recorded digest, so it lost its stat.
+    store = repo.load_store()
+    assert store.records["b.py"][0] == content_digest(b"package b.py\n")
+    assert "b.py" not in store.stats
+
+    opened, (code, reported) = repo.opened_by(repo.detect)
+    assert (code, reported) == (0, ())
+    assert opened == collections.Counter(["b.py"])
+
+
 def test_a_touch_is_not_reported_and_not_read_again(tmp_path):
     repo = seeded(tmp_path)
     repo.age("a.go")
