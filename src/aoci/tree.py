@@ -27,9 +27,6 @@ from typing import Callable, Iterable, Iterator
 
 from .model import canonical_path
 
-# Where a glob's literal head ends: no match can differ from it before here.
-_HEAD_END = re.compile(r"[*?[]")
-
 
 def any_glob(globs: Iterable[str]) -> Callable[[str], object]:
     """One compiled matcher for "the path matches any of ``globs``".
@@ -82,7 +79,7 @@ def walk_files(
     if not os.path.isdir(root):
         raise OSError(f"not a readable directory: {root}")
     include_globs = tuple(include_globs)
-    heads = {_HEAD_END.split(glob, 1)[0] for glob in include_globs}
+    heads = {re.split(r"[*?[]", glob, maxsplit=1)[0] for glob in include_globs}
     included = any_glob(include_globs)
     excluded = any_glob(exclude_globs)
     out = [

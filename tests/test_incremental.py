@@ -430,7 +430,8 @@ def test_walking_escaped_paths_finds_what_the_walk_finds_listing_only_their_dire
     found = tree.walk_files(tmp_path, [glob.escape(p) for p in wanted])
     assert found == [pair for pair in walked if pair[0] in wanted]
     assert [rel for rel, _ in found] == ["a/b/c/deep.py", "a/f", "q/r.go", UNREADABLE, "y/z.go", "y/z.go"]
-    read = tree.stat_read(tree.walk_files(tmp_path, [glob.escape("q/r.go"), glob.escape(UNREADABLE)]))
+    pairs = tree.walk_files(tmp_path, [glob.escape(p) for p in ("q/r.go", UNREADABLE)])
+    read = tree.stat_read(pairs)
     assert [data for *_, data in read] == [
         b"folded dir\n"
     ]
