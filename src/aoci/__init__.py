@@ -22,6 +22,7 @@ __version__ = "0.1.0"
 _MODULE_EXPORTS = {
     "ablation": ("AblationReport", "AblationVariant", "ablation_report", "apply_ablation"),
     "errors": (
+        "AmbiguousTag",
         "AociError",
         "ConfigError",
         "InvalidImportance",

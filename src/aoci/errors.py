@@ -40,6 +40,10 @@ class UnknownCode(TagError):
         super().__init__(message or f"no {dimension} code matches {text!r}")
 
 
+class AmbiguousTag(TagError):
+    """A tag's features split into codes more than one way."""
+
+
 class MalformedTableTag(TagError):
     """A table tag does not have exactly four dash-separated parts."""
 

@@ -33,9 +33,11 @@ One parse reads the whole document and collects every located error;
 them all. Errors carry the line and column; the parse keeps no other
 position data.
 
-Each line is checked once. ``decode_tag`` memoises on the dictionary, so a
-parse decodes each distinct tag once, and ``Index`` accepts the parser's
-memoised decodings without decoding them again. Header codes and labels go
+Each line is checked once. ``decode_tag`` considers every split of a tag in
+one pass and takes the one its preference order picks, or raises
+``AmbiguousTag``. It memoises on the dictionary, so a parse decodes each
+distinct tag once, and ``Index`` accepts the parser's memoised decodings
+without decoding them again. Header codes and labels go
 through the same ``model`` checks that ``TagDictionary`` applies.
 """
 
@@ -47,6 +49,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import (
+    AmbiguousTag,
     AociError,
     InvalidImportance,
     InvalidPath,
@@ -124,16 +127,22 @@ def decode_tag(tag: str, dictionary: TagDictionary) -> DecodedTag:
     Each distinct tag is decoded once per dictionary: a repeated call returns
     the same ``DecodedTag`` object. A tag that fails raises on every call.
 
-    The single importance digit anchors the split. The prefix is consumed as
-    the longest-matching layer code plus a remainder that must be exactly one
-    module code. The suffix is tried with the longest scale code anchored at
-    its end and the middle parsed as a greedy left-to-right feature sequence;
-    if that fails, one backtrack retries with no scale code at all.
+    Codes hold no digits, so the one importance digit splits the tag into an
+    A·B head and a D*·E? tail, and every split of either part is considered:
+
+    * Head: the longest A code whose remainder is a B code.
+    * Tail: one left-to-right pass counts, at each offset, the D
+      factorisations of the text before it and keeps one back-pointer. The
+      scale codes the tail ends with are tried longest first, then no scale;
+      the first whose remaining text has a factorisation wins.
 
     Raises:
         MalformedTag: zero or multiple digits.
         InvalidImportance: digit outside the dictionary's importance set.
-        UnknownCode: prefix or suffix residue that matches no code.
+        UnknownCode: no A code prefixes the head (naming the head), no B code
+            follows one (naming what follows the longest), or no scale leaves
+            a factorisation (naming the tail past the furthest offset reached).
+        AmbiguousTag: the winning scale leaves more than one factorisation.
     """
     memo = dictionary._decode_memo
     decoded = memo.get(tag)
@@ -156,16 +165,45 @@ def _decode_tag(tag: str, dictionary: TagDictionary) -> DecodedTag:
         raise InvalidImportance(
             f"importance {importance} is not in the dictionary's allowed levels"
         )
-    prefix, suffix = tag[:pos], tag[pos + 1 :]
+    head, tail = tag[:pos], tag[pos + 1 :]
+    lengths = dictionary._code_lengths
 
-    layer = _longest_prefix(prefix, dictionary.dim_a)
-    if layer is None:
-        raise UnknownCode("A", prefix)
-    module = prefix[len(layer) :]
-    if module not in dictionary.dim_b:
-        raise UnknownCode("B", module)
+    longest = None
+    for n in lengths["A"]:
+        if head[:n] in dictionary.dim_a and n <= len(head):
+            if head[n:] in dictionary.dim_b:
+                break
+            longest = longest or n
+    else:
+        if not longest:
+            raise UnknownCode("A", head)
+        raise UnknownCode("B", head[longest:])
+    layer, module = head[:n], head[n:]
 
-    features, scale = _split_suffix(suffix, dictionary)
+    # ways[i] counts the D factorisations of tail[:i]; last[i] is the length
+    # of one of their last codes. A scale of length 0 stands for no scale.
+    size = len(tail)
+    ways = [1] + [0] * size
+    last = [0] * (size + 1)
+    for end in range(1, size + 1):
+        for n in lengths["D"]:
+            if n <= end and ways[end - n] and tail[end - n : end] in dictionary.dim_d:
+                ways[end] += ways[end - n]
+                last[end] = n
+    for n in lengths["E"] + (0,):
+        end = size - n
+        if end >= 0 and ways[end] and (not n or tail[end:] in dictionary.dim_e):
+            break
+    else:
+        reached = max(i for i, count in enumerate(ways) if count)
+        raise UnknownCode("D", tail[reached:])
+    if ways[end] > 1:
+        raise AmbiguousTag(f"{tail[:end]!r} splits into D codes {ways[end]} ways")
+    scale = tail[end:] or None
+    features = ()
+    while end:
+        features = (tail[end - last[end] : end],) + features
+        end -= last[end]
     return DecodedTag(layer, module, importance, features, scale)
 
 
@@ -178,53 +216,6 @@ def encode_tag(decoded: DecodedTag) -> str:
         + "".join(decoded.features)
         + (decoded.scale or "")
     )
-
-
-def _longest_prefix(text: str, codes: dict[str, str]) -> str | None:
-    best = None
-    for code in codes:
-        if text.startswith(code) and (best is None or len(code) > len(best)):
-            best = code
-    return best
-
-
-def _longest_suffix(text: str, codes: dict[str, str]) -> str | None:
-    best = None
-    for code in codes:
-        if text.endswith(code) and (best is None or len(code) > len(best)):
-            best = code
-    return best
-
-
-def _greedy_codes(text: str, codes: dict[str, str]) -> tuple[list[str], str]:
-    """Split ``text`` into a code sequence by repeated longest match.
-
-    Returns the codes matched and the remainder where no code matched; the
-    split succeeded when that remainder is empty.
-    """
-    out: list[str] = []
-    rest = text
-    while rest:
-        code = _longest_prefix(rest, codes)
-        if code is None:
-            break
-        out.append(code)
-        rest = rest[len(code) :]
-    return out, rest
-
-
-def _split_suffix(suffix: str, dictionary: TagDictionary) -> tuple[tuple[str, ...], str | None]:
-    scale = _longest_suffix(suffix, dictionary.dim_e)
-    if scale is not None:
-        middle = suffix[: len(suffix) - len(scale)]
-        features, stuck = _greedy_codes(middle, dictionary.dim_d)
-        if not stuck:
-            return tuple(features), scale
-    # Single backtrack: no scale code, the whole suffix is features.
-    features, stuck = _greedy_codes(suffix, dictionary.dim_d)
-    if stuck:
-        raise UnknownCode("D", stuck)
-    return tuple(features), None
 
 
 def decode_table_tag(tag: str, dictionary: TagDictionary) -> tuple[str, str, str, tuple[str, ...]]:

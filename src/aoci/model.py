@@ -129,7 +129,8 @@ class TagDictionary:
     ``DecodedTag`` object. Failures are not memoised. The memo takes no part
     in equality or ``repr``, and ``dataclasses.replace`` starts a new one. It
     relies on one invariant: the code maps are never mutated after
-    construction.
+    construction. ``_code_lengths`` holds each code dimension's distinct
+    code lengths, longest first, for the decoder.
     """
 
     dim_a: dict[str, str] = field(default_factory=dict)
@@ -145,6 +146,7 @@ class TagDictionary:
     _decode_memo: dict[str, DecodedTag] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _code_lengths: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dim_c", frozenset(self.dim_c))
@@ -170,6 +172,11 @@ class TagDictionary:
                 raise InvariantError(f"budget {level}: min {lo} exceeds max {hi}")
             budgets[level] = (int(lo), int(hi))
         object.__setattr__(self, "budgets", budgets)
+        lengths = {
+            name: tuple(sorted({len(code) for code in mapping}, reverse=True))
+            for name, mapping in self.code_dimensions()
+        }
+        object.__setattr__(self, "_code_lengths", lengths)
 
     def code_dimensions(self) -> list[tuple[str, dict[str, str]]]:
         """The four code→label tag dimensions, in tag order."""

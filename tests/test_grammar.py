@@ -18,6 +18,7 @@ from conftest import (
     make_index,
 )
 from aoci.errors import (
+    AmbiguousTag,
     InvalidImportance,
     MalformedTableTag,
     MalformedTag,
@@ -37,7 +38,7 @@ from aoci.grammar import (
     serialize_index,
     serialize_table_entry,
 )
-from aoci.model import CodeEntry, Header, Index, TableEntry, TagDictionary
+from aoci.model import CodeEntry, DecodedTag, Header, Index, TableEntry, TagDictionary
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +129,43 @@ def test_decode_reports_stuck_feature_residue(reference_dictionary):
         decode_tag("WA9JX", reference_dictionary)
     assert excinfo.value.dimension == "D"
     assert "X" in excinfo.value.text
+
+
+def _codes(*codes: str) -> dict[str, str]:
+    return {code: code.lower() for code in codes}
+
+
+@pytest.mark.parametrize(
+    "dims,tag,expected",
+    [
+        # The longest layer 'WA' leaves 'B', no module; 'W' leaves 'AB'.
+        (dict(dim_a=_codes("W", "WA"), dim_b=_codes("AB")), "WAB9", ("W", "AB", 9, (), None)),
+        # Longest-match 'JT' strands 'X'; 'J' then 'TX' splits the features.
+        (
+            dict(dim_a=_codes("W"), dim_b=_codes("A"), dim_d=_codes("J", "JT", "TX")),
+            "WA9JTX",
+            ("W", "A", 9, ("J", "TX"), None),
+        ),
+        # 'M' is a feature and a scale; the scale wins, so the encoding of
+        # DecodedTag(W, A, 9, (M,)) reads back with scale M.
+        (
+            dict(dim_a=_codes("W"), dim_b=_codes("A"), dim_d=_codes("M"), dim_e=_codes("M")),
+            "WA9M",
+            ("W", "A", 9, (), "M"),
+        ),
+    ],
+)
+def test_decode_finds_splits_a_greedy_walk_misses(dims, tag, expected):
+    assert decode_tag(tag, TagDictionary(**dims)) == DecodedTag(*expected)
+
+
+@pytest.mark.parametrize("tag", ["WA9JT", "WA9JTM"])
+def test_decode_raises_ambiguous_tag_when_features_split_two_ways(tag):
+    d = TagDictionary(
+        dim_a=_codes("W"), dim_b=_codes("A"), dim_d=_codes("J", "T", "JT"), dim_e=_codes("M")
+    )
+    with pytest.raises(AmbiguousTag, match="'JT' splits into D codes 2 ways"):
+        decode_tag(tag, d)
 
 
 @given(st.integers(0, 2**32), st.booleans())
