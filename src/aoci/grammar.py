@@ -231,20 +231,13 @@ def decode_table_tag(tag: str, dictionary: TagDictionary) -> tuple[str, str, str
             f"table tag {tag!r} must have four dash-separated parts, found {len(parts)}"
         )
     domain, ttype, scale, feat_part = parts
-    if domain not in dictionary.table_domain:
-        raise UnknownCode("DOMAIN", domain)
-    if ttype not in dictionary.table_type:
-        raise UnknownCode("TYPE", ttype)
-    if scale not in dictionary.table_scale:
-        raise UnknownCode("SCALE", scale)
-    features: tuple[str, ...] = ()
-    if feat_part:
-        parsed = []
-        for feat in feat_part.split("+"):
-            if feat not in dictionary.table_feat:
-                raise UnknownCode("FEAT", feat)
-            parsed.append(feat)
-        features = tuple(parsed)
+    features = tuple(feat_part.split("+")) if feat_part else ()
+    for (name, codes), values in zip(
+        dictionary.table_dimensions(), ((domain,), (ttype,), (scale,), features)
+    ):
+        for value in values:
+            if value not in codes:
+                raise UnknownCode(name, value)
     return domain, ttype, scale, features
 
 

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import InvalidPath, InvariantError
+from .errors import InvalidPath, InvariantError, TagError
 
 #: The fixed six-level importance scale, highest first.
 IMPORTANCE_SCALE = (9, 8, 7, 5, 3, 1)
@@ -398,6 +398,22 @@ def check_entry_tag(entry: CodeEntry, dictionary: TagDictionary) -> None:
         )
 
 
+def check_table_tag(table: TableEntry, dictionary: TagDictionary) -> None:
+    """Raise InvariantError unless the table's tag, if it has one, decodes
+    under ``dictionary`` to the table's own codes."""
+    if not table.has_tag:
+        return
+    from .grammar import decode_table_tag, encode_table_tag
+
+    tag = encode_table_tag(table)
+    try:
+        decoded = decode_table_tag(tag, dictionary)
+    except TagError as exc:
+        raise InvariantError(f"table {table.name}: {exc}") from exc
+    if decoded != (table.domain, table.ttype, table.scale, table.features):
+        raise InvariantError(f"table {table.name}: tag {tag!r} decodes to other codes")
+
+
 @dataclass(frozen=True)
 class Index:
     """A full AOCI document: header, code entries, table entries, in order."""
@@ -421,22 +437,7 @@ class Index:
             if table.name in seen_names:
                 raise InvariantError(f"duplicate table entry name: {table.name}")
             seen_names.add(table.name)
-            if not table.has_tag:
-                continue
-            for value, mapping, dim in (
-                (table.domain, dictionary.table_domain, "DOMAIN"),
-                (table.ttype, dictionary.table_type, "TYPE"),
-                (table.scale, dictionary.table_scale, "SCALE"),
-            ):
-                if value not in mapping:
-                    raise InvariantError(
-                        f"table {table.name}: code {value!r} not in dimension {dim}"
-                    )
-            for feat in table.features:
-                if feat not in dictionary.table_feat:
-                    raise InvariantError(
-                        f"table {table.name}: code {feat!r} not in dimension FEAT"
-                    )
+            check_table_tag(table, dictionary)
 
     def entry_map(self) -> dict[str, CodeEntry]:
         return {entry.path: entry for entry in self.code_entries}

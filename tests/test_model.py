@@ -173,6 +173,13 @@ def test_table_codes_checked_against_dictionary(reference_dictionary):
         Index(Header(dictionary=reference_dictionary), (), (table,))
 
 
+def test_table_feature_holding_a_separator_is_rejected(reference_dictionary):
+    # Both halves are FEAT codes, but the tag would read back as two features.
+    table = TableEntry("users", "U", "M", "M", ("GUID+SD",), "text")
+    with pytest.raises(InvariantError, match="'U-M-M-GUID\\+SD' decodes to other codes"):
+        Index(Header(dictionary=reference_dictionary), (), (table,))
+
+
 def test_header_version_floor():
     with pytest.raises(InvariantError):
         Header(version=0)
