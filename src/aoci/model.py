@@ -371,8 +371,8 @@ class ChangeSet:
 def check_entry_tag(entry: CodeEntry, dictionary: TagDictionary) -> None:
     """Raise InvariantError unless the entry's tag fits ``dictionary``.
 
-    The attached decoding must be the tag's decoding; an undecoded tag must
-    be a single scale code.
+    The attached decoding must be the tag's decoding, so a tag that does not
+    decode fails too; an undecoded tag must be a single scale code.
     """
     if entry.tag is None:
         return
@@ -384,7 +384,11 @@ def check_entry_tag(entry: CodeEntry, dictionary: TagDictionary) -> None:
         # Import here: grammar owns the tag codec and imports this module.
         from .grammar import decode_tag
 
-        if decode_tag(entry.tag, dictionary) != entry.decoded:
+        try:
+            decoded = decode_tag(entry.tag, dictionary)
+        except TagError as exc:
+            raise InvariantError(f"{entry.path}: tag {entry.tag!r}: {exc}") from exc
+        if decoded != entry.decoded:
             raise InvariantError(
                 f"{entry.path}: attached decoding does not match tag "
                 f"{entry.tag!r} under the header dictionary"

@@ -127,6 +127,20 @@ def test_index_rejects_mismatched_decoding(reference_dictionary):
         Index(Header(dictionary=reference_dictionary), (entry,))
 
 
+def test_index_rejects_decoding_attached_to_undecodable_tag(reference_dictionary):
+    ambiguous = TagDictionary(
+        dim_a={"W": "w"}, dim_b={"A": "a"}, dim_d={"J": "j", "T": "t", "JT": "jt"}
+    )
+    for dictionary, tag, reason in (
+        (reference_dictionary, "ZZ9", "no A code matches 'ZZ'"),
+        (ambiguous, "WA9JT", "'JT' splits into D codes 2 ways"),
+    ):
+        entry = CodeEntry("x.go", tag, DecodedTag("W", "A", 9))
+        with pytest.raises(InvariantError) as excinfo:
+            Index(Header(dictionary=dictionary), (entry,))
+        assert str(excinfo.value) == f"x.go: tag {tag!r}: {reason}"
+
+
 def test_dictionary_importance_subset():
     with pytest.raises(InvariantError):
         TagDictionary(dim_c=frozenset({9, 4}))
