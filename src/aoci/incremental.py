@@ -93,12 +93,17 @@ def entry_digest(entry: CodeEntry) -> str:
 def parse_changeset(text: str) -> ChangeSet:
     """Parse the tab-separated change listing format.
 
+    A rename's new path may be no other record's path and no other rename's
+    new path; it may be another rename's old path, so swaps and chains apply.
+
     Raises:
-        ParseError: unknown status letter, missing field, or duplicate path,
-            with the offending line number.
+        ParseError: unknown status letter, missing field, duplicate path, or
+            colliding rename target, with the offending line number.
     """
     records: list[ChangeRecord] = []
     seen: set[str] = set()
+    # The path each record leaves behind (a rename's new path), by line.
+    targets: dict[str, int] = {}
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
         if not line.strip():
@@ -137,6 +142,16 @@ def parse_changeset(text: str) -> ChangeSet:
                 f"duplicate path in change set: {record.path}",
             )
         seen.add(record.path)
+        target = record.new_path or record.path
+        if target in targets:
+            raise ParseError(
+                line_no,
+                1,
+                ParseErrorKind.MALFORMED_CHANGE,
+                f"{target} is also named on line {targets[target]}, "
+                "and a rename target may appear in no other record",
+            )
+        targets[target] = line_no
         records.append(record)
     return ChangeSet(tuple(records))
 

@@ -385,6 +385,47 @@ def test_update_cli_changes_from_stdin(tmp_path, golden_copy, monkeypatch, capsy
     assert "config.yaml" not in updated.code_paths()
 
 
+@pytest.mark.parametrize(
+    "listing,target",
+    [
+        ("R100\tauth.go\tmodel/org/org.go\nD\tmodel/org/org.go\n", "model/org/org.go"),
+        ("D\tmodel/org/org.go\nR100\tauth.go\tmodel/org/org.go\n", "model/org/org.go"),
+        ("R100\tauth.go\tnew.go\nR100\torg_repo.go\tnew.go\n", "new.go"),
+        ("R100\tauth.go\tnew.go\nA\tnew.go\n", "new.go"),
+    ],
+    ids=["rename then delete", "delete then rename", "two renames", "rename then add"],
+)
+def test_update_cli_rejects_a_colliding_rename_target(
+    tmp_path, golden_copy, monkeypatch, capsys, listing, target
+):
+    monkeypatch.chdir(tmp_path)
+    changes = tmp_path / "changes.txt"
+    store = tmp_path / "s.tsv"
+    args = ["update", str(golden_copy), "--changes", str(changes), "--store", str(store)]
+    changes.write_text("M\tconfig.yaml\n", encoding="utf-8")
+    assert run(args) == 0  # leaves a pending row in the store
+    capsys.readouterr()
+    before = golden_copy.read_bytes(), store.read_bytes()
+
+    changes.write_text(listing, encoding="utf-8")
+    assert run(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: line 2, column 1: {target} is also named on line 1, "
+        "and a rename target may appear in no other record\n"
+    )
+    assert (golden_copy.read_bytes(), store.read_bytes()) == before
+
+
+def test_update_cli_swaps_two_entries_by_renames(tmp_path, golden_copy):
+    before = parse_index(golden_copy.read_bytes()).entry_map()
+    changes = tmp_path / "changes.txt"
+    changes.write_text("R100\tauth.go\torg_repo.go\nR100\torg_repo.go\tauth.go\n", encoding="utf-8")
+    assert run(["update", str(golden_copy), "--changes", str(changes)]) == 0
+    after = parse_index(golden_copy.read_bytes()).entry_map()
+    assert after["auth.go"].s == before["org_repo.go"].s
+    assert after["org_repo.go"].s == before["auth.go"].s
+
+
 def test_update_cli_detect_cycle(tmp_path, monkeypatch, capsys):
     repo = tmp_path / "repo"
     repo.mkdir()

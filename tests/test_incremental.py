@@ -87,6 +87,11 @@ def test_parse_changeset_bare_rename_status():
         ("A\ta.go\n\nR100\tb.go", 3),
         ("M\ta.go\nM\ta.go", 2),
         ("R100\ta.go\ta.go", 1),
+        ("R100\ta.go\tb.go\nD\tb.go", 2),
+        ("D\tb.go\nR100\ta.go\tb.go", 2),
+        ("M\tb.go\n\nR100\ta.go\tb.go", 3),
+        ("R100\ta.go\tb.go\nA\tb.go", 2),
+        ("R100\ta.go\tc.go\nR100\tb.go\tc.go", 2),
     ],
 )
 def test_parse_changeset_errors_located(text, line):
