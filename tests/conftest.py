@@ -9,7 +9,9 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
+from aoci.errors import AmbiguousTag, InvalidImportance, MalformedTag, UnknownCode
 from aoci.grammar import decode_table_tag, parse_code_entry_line, parse_index
 from aoci.model import (
     CodeEntry,
@@ -20,6 +22,10 @@ from aoci.model import (
     TagDictionary,
     canonical_path,
 )
+
+# CI selects this with --hypothesis-profile=ci; a plain pytest run keeps
+# hypothesis' default profile.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -236,6 +242,47 @@ def make_index(
         dictionary=dictionary,
     )
     return Index(header, tuple(entries), tuple(table_entries))
+
+
+def reference_decode(tag: str, dictionary: TagDictionary) -> DecodedTag:
+    """Decode ``tag`` the slow way: list every split, then apply the order
+    ``grammar.decode_tag`` documents. Raises what it raises, naming the same
+    text in an ``UnknownCode``."""
+    digits = [i for i, ch in enumerate(tag) if ch in "0123456789"]
+    if len(digits) != 1:
+        raise MalformedTag(tag)
+    head, tail = tag[: digits[0]], tag[digits[0] + 1 :]
+    importance = int(tag[digits[0]])
+    if importance not in dictionary.dim_c:
+        raise InvalidImportance(tag)
+
+    layers = sorted((a for a in dictionary.dim_a if head.startswith(a)), key=len, reverse=True)
+    heads = [a for a in layers if head[len(a) :] in dictionary.dim_b]
+    if not layers:
+        raise UnknownCode("A", head)
+    if not heads:
+        raise UnknownCode("B", head[len(layers[0]) :])
+
+    def splits(text: str) -> list[tuple[str, ...]]:
+        """Every way to write ``text`` as a sequence of D codes."""
+        if not text:
+            return [()]
+        return [
+            (code,) + rest
+            for code in dictionary.dim_d
+            if text.startswith(code)
+            for rest in splits(text[len(code) :])
+        ]
+
+    scales = sorted((e for e in dictionary.dim_e if tail.endswith(e)), key=len, reverse=True)
+    for scale in scales + [None]:
+        features = splits(tail[: len(tail) - len(scale or "")])
+        if len(features) > 1:
+            raise AmbiguousTag(tag)
+        if features:
+            return DecodedTag(heads[0], head[len(heads[0]) :], importance, features[0], scale)
+    reached = max(i for i in range(len(tail) + 1) if splits(tail[:i]))
+    raise UnknownCode("D", tail[reached:])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,13 @@ import pytest
 
 from conftest import FIXTURES
 from aoci.cli import run
-from aoci.grammar import parse_index, serialize_code_entry, serialize_index
+from aoci.grammar import (
+    ParseErrorKind,
+    parse_index,
+    parse_index_report,
+    serialize_code_entry,
+    serialize_index,
+)
 from aoci.incremental import StalenessStore, content_digest, entry_digest
 
 GOLDEN = FIXTURES / "listing1.aoci"
@@ -72,6 +78,33 @@ def test_check_reports_duplicates_and_unknown_codes_as_located_parse_errors(tmp_
     assert err[1] == (
         f"error parse {target}: line 23, column 1: duplicate code entry path 'model/org/org.go'"
     )
+
+
+AMBIGUOUS_INDEX = (
+    "#AOCI 1\n#DIM A W=Middleware\n#DIM B A=Auth\n#DIM C 9,8,7,5,3,1\n"
+    "#DIM D J=JWT,T=Token,JT=JWT token\n@CODE\n"
+    "auth.go[WA9JT]: F:auth | R:- | A:- | S:text\n"
+)
+
+
+def test_check_reports_an_ambiguous_tag_as_one_located_parse_error(tmp_path, capsys):
+    target = tmp_path / "ambiguous.aoci"
+    target.write_text(AMBIGUOUS_INDEX, encoding="utf-8")
+    assert run(["check", str(target)]) == 1
+    assert capsys.readouterr().err == (
+        f"error parse {target}: line 7, column 9: tag 'WA9JT': 'JT' splits into D codes 2 ways\n"
+    )
+    errors = parse_index_report(AMBIGUOUS_INDEX).errors
+    assert [error.kind for error in errors] == [ParseErrorKind.TAG_DECODE]
+
+
+def test_decode_tag_cli_reports_an_ambiguous_tag(tmp_path, capsys):
+    target = tmp_path / "dictionary.aoci"
+    target.write_text(AMBIGUOUS_INDEX.replace("[WA9JT]", "[WA9J]"), encoding="utf-8")
+    assert run(["decode-tag", "WA9JT", "--index", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tag 'WA9JT': 'JT' splits into D codes 2 ways\n"
 
 
 def test_check_coverage_output(tmp_path, capsys):

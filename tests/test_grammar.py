@@ -22,6 +22,7 @@ from aoci.errors import (
     InvalidImportance,
     MalformedTableTag,
     MalformedTag,
+    TagError,
     UnknownCode,
 )
 from aoci.grammar import (
@@ -179,6 +180,68 @@ def test_codec_round_trip_random(seed, with_scale):
     tag = encode_tag(decoded)
     assert decode_tag(tag, dictionary) == decoded
     assert encode_tag(decode_tag(tag, dictionary)) == tag
+
+
+# Multi-letter codes from one alphabet shared by every dimension, so codes
+# prefix one another within a dimension and D and E overlap.
+_SHARED_CODES = st.text("ABC", min_size=1, max_size=3)
+
+
+def _shared_dimension(min_size: int, max_size: int):
+    return st.sets(_SHARED_CODES, min_size=min_size, max_size=max_size).map(_codes_of)
+
+
+def _codes_of(codes) -> dict[str, str]:
+    return _codes(*sorted(codes))
+
+
+@st.composite
+def _shared_alphabet_tags(draw):
+    """A dictionary, and a tag: the encoding of one of its tags, or that
+    encoding with a few characters spliced in or cut out."""
+    d = TagDictionary(
+        dim_a=draw(_shared_dimension(1, 4)),
+        dim_b=draw(_shared_dimension(1, 4)),
+        dim_c=draw(st.frozensets(st.sampled_from((9, 8, 7, 5, 3, 1)), min_size=1)),
+        dim_d=draw(_shared_dimension(0, 4)),
+        dim_e=draw(_shared_dimension(0, 4)),
+    )
+    decoded = DecodedTag(
+        draw(st.sampled_from(sorted(d.dim_a))),
+        draw(st.sampled_from(sorted(d.dim_b))),
+        draw(st.sampled_from(sorted(d.dim_c))),
+        tuple(draw(st.lists(st.sampled_from(sorted(d.dim_d)), max_size=4))) if d.dim_d else (),
+        draw(st.none() | st.sampled_from(sorted(d.dim_e))) if d.dim_e else None,
+    )
+    tag = encode_tag(decoded)
+    encoded = draw(st.booleans())
+    if not encoded:
+        at = draw(st.integers(0, len(tag)))
+        cut = draw(st.integers(0, 2))
+        tag = tag[:at] + draw(st.text("ABC194", max_size=2)) + tag[at + cut :]
+    return d, tag, encoded
+
+
+def _decode_outcome(decode, tag, dictionary):
+    try:
+        return decode(tag, dictionary)
+    except UnknownCode as exc:
+        return UnknownCode, exc.dimension, exc.text
+    except TagError as exc:
+        return type(exc)
+
+
+@given(_shared_alphabet_tags())
+@settings(deadline=None)
+def test_decode_agrees_with_brute_force_reference(case):
+    from conftest import reference_decode
+
+    dictionary, tag, encoded = case
+    outcome = _decode_outcome(decode_tag, tag, dictionary)
+    assert outcome == _decode_outcome(reference_decode, tag, dictionary)
+    if encoded:
+        # Complete: a tag the dictionary can write decodes, or is ambiguous.
+        assert isinstance(outcome, DecodedTag) or outcome is AmbiguousTag
 
 
 def test_decode_table_tag_examples(reference_dictionary):
