@@ -34,11 +34,11 @@ them all. Errors carry the line and column; the parse keeps no other
 position data.
 
 Each line is checked once. ``decode_tag`` considers every split of a tag in
-one pass and takes the one its preference order picks, or raises
+one pass and returns the one its preference order picks, or raises
 ``AmbiguousTag``. It memoises on the dictionary, so a parse decodes each
 distinct tag once, and ``Index`` accepts the parser's memoised decodings
-without decoding them again. Header codes and labels go
-through the same ``model`` checks that ``TagDictionary`` applies.
+without decoding them again. Header codes and labels go through the same
+``model`` checks that ``TagDictionary`` applies.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def _decode_tag(tag: str, dictionary: TagDictionary) -> DecodedTag:
 
     longest = None
     for n in lengths["A"]:
-        if head[:n] in dictionary.dim_a and n <= len(head):
+        if n <= len(head) and head[:n] in dictionary.dim_a:
             if head[n:] in dictionary.dim_b:
                 break
             longest = longest or n
