@@ -102,7 +102,7 @@ def parse_changeset(text: str) -> ChangeSet:
     """
     records: list[ChangeRecord] = []
     seen: set[str] = set()
-    # The path each record leaves behind (a rename's new path), by line.
+    # The path each record claims, by line: a rename's new path, else its path.
     targets: dict[str, int] = {}
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
