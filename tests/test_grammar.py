@@ -120,7 +120,7 @@ def test_decode_longest_match_prefix():
         dim_b={"B": "b", "AB": "ab"},
         dim_e={"M": "m"},
     )
-    # Longest layer match wins, no backtracking over the layer.
+    # Both layers leave a module; the longer layer wins.
     assert decode_tag("WAB9", d).layer == "WA"
     assert decode_tag("WAB9", d).module == "B"
 
