@@ -44,6 +44,7 @@ _MODULE_EXPORTS = {
         "encode_table_tag",
         "encode_tag",
         "parse_code_entry_line",
+        "parse_header",
         "parse_index",
         "parse_index_report",
         "scan_index",

@@ -38,7 +38,6 @@ from .ablation import AblationVariant, apply_ablation
 from .errors import AociError, ConfigError, TagError
 from .grammar import (
     IndexLines,
-    ParseError,
     decode_tag,
     parse_code_entry_line,
     parse_index,
@@ -90,9 +89,6 @@ def run(argv: list[str] | None = None) -> int:
         return int(code)
     try:
         return int(args.handler(args))
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ExitCode.VALIDATION
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ExitCode.USAGE

@@ -28,10 +28,14 @@ Canonical output uses LF line endings, exactly one space around ``|``, no
 spaces after commas in R, and a single trailing newline; ``serialize_index``
 followed by ``parse_index`` is the identity on valid indexes. The parser is
 tolerant of extra whitespace so that non-canonical files can be reformatted.
-One parse reads the whole document and collects every located error;
-``parse_index`` raises the first of them and ``parse_index_report`` returns
-them all. Errors carry the line and column; the parse keeps no other
-position data.
+A document is read in two phases. The header phase reads directives up to
+the first section marker, collecting an error for each bad item of a
+directive; ``parse_header`` runs only this phase. The body phase parses each
+entry and table line with a line parser that raises ``ParseError``, and
+collects each raised error in one place, so one bad line costs only itself.
+``parse_index`` raises the first error of the whole document and
+``parse_index_report`` returns them all. Errors carry the line and column;
+the parse keeps no other position data.
 
 Each line is checked once. ``decode_tag`` considers every split of a tag in
 one pass and returns the one its preference order picks, or raises
@@ -68,6 +72,7 @@ from .model import (
     Index,
     TableEntry,
     TagDictionary,
+    check_budget,
     check_code,
     check_label,
 )
@@ -378,8 +383,8 @@ def scan_index(text: str) -> IndexLines:
     layout (LF line endings, one space around ``|``, no blank lines) and
     checks nothing else, so text of unknown origin goes through
     ``parse_index`` first. The header, the text up to and including
-    ``@CODE``, goes through the document parser, and its first error is
-    raised. ``scan_index(serialize_index(index)).text()`` equals
+    ``@CODE``, goes through ``parse_header``, which raises its first error.
+    ``scan_index(serialize_index(index)).text()`` equals
     ``serialize_index(index)``.
     """
     lines = text.split("\n")  # the last item is the empty string after the final LF
@@ -392,11 +397,7 @@ def scan_index(text: str) -> IndexLines:
             CodeRow(path, () if refs == EMPTY_SENTINEL else tuple(refs.split(",")), line)
         )
     head = "\n".join(lines[:code_at]) + "\n"
-    report = parse_index_report(head)
-    if report.errors:
-        raise report.errors[0]
-    assert report.index is not None
-    return IndexLines(report.index.header, head, tuple(rows), "\n".join(lines[tables_at:]))
+    return IndexLines(parse_header(head), head, tuple(rows), "\n".join(lines[tables_at:]))
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +406,10 @@ def scan_index(text: str) -> IndexLines:
 
 
 def parse_index(text: str | bytes) -> Index:
-    """Parse an index document.
+    """Parse an index document: its header, then every entry and table line.
 
-    The parse reads the whole document and collects every located error, as
-    ``parse_index_report`` does; this raises the first error found.
+    The parse collects every located error, as ``parse_index_report`` does;
+    this raises the first of them.
 
     Raises:
         ParseError: located description of the first failure.
@@ -421,21 +422,37 @@ def parse_index(text: str | bytes) -> Index:
 
 
 def parse_index_report(text: str | bytes) -> ParseReport:
-    """Parse returning the best-effort index and every located error."""
-    parser = _Parser()
-    decoded = _decode_input(text, parser)
-    return ParseReport(_parse_document(decoded, parser), parser.errors)
+    """Parse returning the best-effort index and every located error.
+
+    The header is read first, then every entry and table line after the
+    first section marker. A bad line is left out of the index and the parse
+    goes on; the index is ``None`` only when the document has no marker.
+    """
+    errors: list[ParseError] = []
+    index = _parse_document(_decode_input(text, errors), errors)
+    return ParseReport(index, errors)
 
 
-class _Parser:
-    def __init__(self):
-        self.errors: list[ParseError] = []
+def parse_header(text: str | bytes) -> Header:
+    """Parse only the header: the directives before the first section marker.
 
-    def fail(self, line_no: int, column: int, kind: ParseErrorKind, message: str):
-        self.errors.append(ParseError(line_no, column, kind, message))
+    Entry and table lines are not read, so a bad entry does not stop a
+    caller that needs only the dictionary.
+
+    Raises:
+        ParseError: the first error located at or before the first marker,
+            or "document has no @CODE section".
+    """
+    errors: list[ParseError] = []
+    lines = _decode_input(text, errors).split("\n")
+    header, at = _read_header(lines, errors)
+    for error in errors:
+        if error.line_number <= at + 1:
+            raise error
+    return header
 
 
-def _decode_input(text: str | bytes, parser: _Parser) -> str:
+def _decode_input(text: str | bytes, errors: list[ParseError]) -> str:
     if isinstance(text, str):
         return text.removeprefix("﻿")
     try:
@@ -444,16 +461,101 @@ def _decode_input(text: str | bytes, parser: _Parser) -> str:
         prefix = text[: exc.start]
         line_no = prefix.count(b"\n") + 1
         column = exc.start - (prefix.rfind(b"\n") + 1) + 1
-        parser.fail(
-            line_no, column, ParseErrorKind.ENCODING, f"invalid UTF-8 at byte {exc.start}"
+        errors.append(
+            ParseError(
+                line_no, column, ParseErrorKind.ENCODING, f"invalid UTF-8 at byte {exc.start}"
+            )
         )
         return text.decode("utf-8", errors="replace")
 
 
-class _HeaderBuilder:
-    """Accumulates directives, validating each with a located error."""
+def _parse_document(text: str, errors: list[ParseError]) -> Index | None:
+    lines = text.split("\n")
+    header, at = _read_header(lines, errors)
+    if header is None:
+        return None
+    dictionary = header.dictionary
+    entries: dict[str, CodeEntry] = {}
+    tables: dict[str, TableEntry] = {}
+    in_tables = lines[at].strip() == "@TABLES"
+    for line_no, raw_line in enumerate(lines[at + 1 :], start=at + 2):
+        line = raw_line.strip()
+        if not line:
+            continue
+        try:
+            if line.startswith("@"):
+                if in_tables or line != "@TABLES":
+                    raise ParseError(
+                        line_no,
+                        1,
+                        ParseErrorKind.UNKNOWN_DIRECTIVE,
+                        f"unexpected section marker {line!r}",
+                    )
+                in_tables = True
+            elif in_tables:
+                table = _parse_table_line(line, line_no, dictionary)
+                if table.name in tables:
+                    raise ParseError(
+                        line_no,
+                        1,
+                        ParseErrorKind.DUPLICATE_NAME,
+                        f"duplicate table entry name {table.name!r}",
+                    )
+                tables[table.name] = table
+            else:
+                entry = _parse_code_line(line, line_no, dictionary)
+                if entry.path in entries:
+                    raise ParseError(
+                        line_no,
+                        1,
+                        ParseErrorKind.DUPLICATE_PATH,
+                        f"duplicate code entry path {entry.path!r}",
+                    )
+                entries[entry.path] = entry
+        except ParseError as error:
+            errors.append(error)
+    return Index(header, tuple(entries.values()), tuple(tables.values()))
 
-    def __init__(self):
+
+def _read_header(lines: list[str], errors: list[ParseError]) -> tuple[Header | None, int]:
+    """Read the directives up to the first section marker.
+
+    Returns the header and the marker's index in ``lines``. A document with
+    no marker gives ``(None, len(lines))`` and one more error, on its last
+    line.
+    """
+    reader = _HeaderReader(errors)
+    for at, raw_line in enumerate(lines):
+        line = raw_line.strip()
+        reader.line_no = at + 1
+        if line == "@CODE" or line == "@TABLES":
+            return reader.build(), at
+        if line.startswith("#"):
+            reader.directive(line)
+        elif line.startswith("@"):
+            reader.fail(ParseErrorKind.UNKNOWN_DIRECTIVE, f"unknown section marker {line!r}")
+        elif line:
+            reader.fail(
+                ParseErrorKind.MISPLACED_LINE, "expected a header directive or section marker"
+            )
+    errors.append(
+        ParseError(
+            len(lines), 1, ParseErrorKind.MALFORMED_HEADER, "document has no @CODE section"
+        )
+    )
+    return None, len(lines)
+
+
+_BUDGET_RE = re.compile(r"^(\d):(\d+)-(\d+)$")
+
+
+class _HeaderReader:
+    """Accumulates directives. Each bad item of a directive adds an error
+    located on the directive's line, at column 1, and is left out."""
+
+    def __init__(self, errors: list[ParseError]):
+        self.errors = errors
+        self.line_no = 0
         self.version: int | None = None
         self.project = ""
         self.overview: list[str] = []
@@ -468,297 +570,160 @@ class _HeaderBuilder:
         }
         self.budgets: dict[int, tuple[int, int]] = {}
 
+    def fail(self, kind: ParseErrorKind, message: str) -> None:
+        self.errors.append(ParseError(self.line_no, 1, kind, message))
+
     def build(self) -> Header:
-        dictionary = TagDictionary(
-            dim_a=self.dims["A"],
-            dim_b=self.dims["B"],
-            dim_c=frozenset(self.dim_c) if self.dim_c else frozenset(IMPORTANCE_SCALE),
-            dim_d=self.dims["D"],
-            dim_e=self.dims["E"],
-            table_domain=self.tdims["DOMAIN"],
-            table_type=self.tdims["TYPE"],
-            table_scale=self.tdims["SCALE"],
-            table_feat=self.tdims["FEAT"],
-            budgets=self.budgets,
-        )
-        return Header(
-            version=self.version if self.version is not None else 1,
-            project=self.project,
-            overview=tuple(self.overview),
-            stack=self.stack,
-            dictionary=dictionary,
-        )
-
-
-def _parse_document(text: str, parser: _Parser) -> Index | None:
-    lines = text.split("\n")
-    builder = _HeaderBuilder()
-    header: Header | None = None
-    entries: list[CodeEntry] = []
-    tables: list[TableEntry] = []
-    seen_paths: set[str] = set()
-    seen_names: set[str] = set()
-    section = "header"
-    saw_marker = False
-
-    for line_no, raw_line in enumerate(lines, start=1):
-        line = raw_line.strip()
-        if not line:
-            continue
-
-        if section == "header":
-            if line == "@CODE" or line == "@TABLES":
-                if builder.version is None:
-                    parser.fail(
-                        line_no,
-                        1,
-                        ParseErrorKind.MALFORMED_HEADER,
-                        "missing #AOCI version directive before the first section",
-                    )
-                try:
-                    header = builder.build()
-                except InvariantError as exc:
-                    parser.fail(line_no, 1, ParseErrorKind.INVALID_DICTIONARY, str(exc))
-                    header = Header()
-                section = "code" if line == "@CODE" else "tables"
-                saw_marker = True
-                continue
-            if line.startswith("#"):
-                _parse_directive(line, line_no, builder, parser)
-                continue
-            if line.startswith("@"):
-                parser.fail(
-                    line_no, 1, ParseErrorKind.UNKNOWN_DIRECTIVE, f"unknown section marker {line!r}"
-                )
-                continue
-            parser.fail(
-                line_no,
-                1,
-                ParseErrorKind.MISPLACED_LINE,
-                "expected a header directive or section marker",
-            )
-            continue
-
-        if line == "@TABLES" and section == "code":
-            section = "tables"
-            continue
-        if line.startswith("@"):
-            parser.fail(
-                line_no, 1, ParseErrorKind.UNKNOWN_DIRECTIVE, f"unexpected section marker {line!r}"
-            )
-            continue
-
-        assert header is not None
-        if section == "code":
-            entry = _parse_code_line(line, line_no, header.dictionary, parser)
-            if entry is None:
-                continue
-            if entry.path in seen_paths:
-                parser.fail(
-                    line_no,
-                    1,
-                    ParseErrorKind.DUPLICATE_PATH,
-                    f"duplicate code entry path {entry.path!r}",
-                )
-                continue
-            seen_paths.add(entry.path)
-            entries.append(entry)
-        else:
-            table = _parse_table_line(line, line_no, header.dictionary, parser)
-            if table is None:
-                continue
-            if table.name in seen_names:
-                parser.fail(
-                    line_no,
-                    1,
-                    ParseErrorKind.DUPLICATE_NAME,
-                    f"duplicate table entry name {table.name!r}",
-                )
-                continue
-            seen_names.add(table.name)
-            tables.append(table)
-
-    if not saw_marker:
-        parser.fail(
-            len(lines), 1, ParseErrorKind.MALFORMED_HEADER, "document has no @CODE section"
-        )
-        return None
-    if header is None:
-        return None
-    try:
-        return Index(header, tuple(entries), tuple(tables))
-    except InvariantError as exc:  # pragma: no cover - duplicates are caught above
-        parser.fail(1, 1, ParseErrorKind.MALFORMED_ENTRY, str(exc))
-        return None
-
-
-def _parse_directive(line: str, line_no: int, builder: _HeaderBuilder, parser: _Parser) -> None:
-    word, _, rest = line[1:].partition(" ")
-    rest = rest.strip()
-    fail = parser.fail
-
-    if word == "AOCI":
-        if builder.version is not None:
-            fail(line_no, 1, ParseErrorKind.MALFORMED_HEADER, "duplicate #AOCI directive")
-            return
-        if not rest.isdigit() or int(rest) < 1:
-            fail(
-                line_no,
-                1,
+        """The header, checked on the section marker's line."""
+        if self.version is None:
+            self.fail(
                 ParseErrorKind.MALFORMED_HEADER,
-                f"#AOCI needs an integer version >= 1, got {rest!r}",
+                "missing #AOCI version directive before the first section",
             )
-            return
-        builder.version = int(rest)
-    elif word == "PROJECT":
-        if builder.project:
-            fail(line_no, 1, ParseErrorKind.MALFORMED_HEADER, "duplicate #PROJECT directive")
-            return
-        builder.project = rest
-    elif word == "OVERVIEW":
-        if not rest:
-            fail(line_no, 1, ParseErrorKind.MALFORMED_HEADER, "#OVERVIEW needs text")
-            return
-        builder.overview.append(rest)
-    elif word == "STACK":
-        if builder.stack:
-            fail(line_no, 1, ParseErrorKind.MALFORMED_HEADER, "duplicate #STACK directive")
-            return
-        builder.stack = rest
-    elif word == "DIM":
-        _parse_dim(rest, line_no, builder, parser)
-    elif word == "TDIM":
-        name, _, body = rest.partition(" ")
-        if name not in builder.tdims:
-            fail(
-                line_no,
-                1,
-                ParseErrorKind.MALFORMED_HEADER,
-                f"#TDIM dimension must be DOMAIN, TYPE, SCALE or FEAT, got {name!r}",
-            )
-            return
-        _parse_code_map(body.strip(), name, builder.tdims[name], line_no, parser)
-    elif word == "BUDGET":
-        _parse_budget(rest, line_no, builder, parser)
-    else:
-        fail(line_no, 1, ParseErrorKind.UNKNOWN_DIRECTIVE, f"unknown directive #{word}")
-
-
-def _parse_dim(rest: str, line_no: int, builder: _HeaderBuilder, parser: _Parser) -> None:
-    name, _, body = rest.partition(" ")
-    body = body.strip()
-    if name == "C":
-        for part in body.split(","):
-            part = part.strip()
-            if not part.isdigit() or int(part) not in IMPORTANCE_SCALE:
-                parser.fail(
-                    line_no,
-                    1,
-                    ParseErrorKind.INVALID_DICTIONARY,
-                    f"importance level {part!r} is not one of "
-                    + "/".join(str(v) for v in IMPORTANCE_SCALE),
-                )
-                continue
-            builder.dim_c.add(int(part))
-        return
-    if name not in builder.dims:
-        parser.fail(
-            line_no,
-            1,
-            ParseErrorKind.MALFORMED_HEADER,
-            f"#DIM dimension must be A, B, C, D or E, got {name!r}",
-        )
-        return
-    _parse_code_map(body, name, builder.dims[name], line_no, parser)
-    if name == "E" and len(builder.dims["E"]) > 4:
-        parser.fail(
-            line_no,
-            1,
-            ParseErrorKind.INVALID_DICTIONARY,
-            "dimension E allows at most four scale levels",
-        )
-        # Drop the overflow so the parse can continue.
-        for code in list(builder.dims["E"])[4:]:
-            del builder.dims["E"][code]
-
-
-def _parse_code_map(
-    body: str, name: str, target: dict[str, str], line_no: int, parser: _Parser
-) -> None:
-    if not body:
-        parser.fail(
-            line_no, 1, ParseErrorKind.MALFORMED_HEADER, f"dimension {name} has no code list"
-        )
-        return
-    for item in body.split(","):
-        code, eq, label = item.partition("=")
-        code = code.strip()
-        label = label.strip()
-        if not eq:
-            parser.fail(
-                line_no,
-                1,
-                ParseErrorKind.MALFORMED_HEADER,
-                f"dimension {name}: expected code=label, got {item.strip()!r}",
-            )
-            continue
-        if code in target:
-            parser.fail(
-                line_no,
-                1,
-                ParseErrorKind.INVALID_DICTIONARY,
-                f"dimension {name}: duplicate code {code!r}",
-            )
-            continue
         try:
-            check_code(name, code)
-            check_label(name, label)
+            dictionary = TagDictionary(
+                dim_a=self.dims["A"],
+                dim_b=self.dims["B"],
+                dim_c=frozenset(self.dim_c) if self.dim_c else frozenset(IMPORTANCE_SCALE),
+                dim_d=self.dims["D"],
+                dim_e=self.dims["E"],
+                table_domain=self.tdims["DOMAIN"],
+                table_type=self.tdims["TYPE"],
+                table_scale=self.tdims["SCALE"],
+                table_feat=self.tdims["FEAT"],
+                budgets=self.budgets,
+            )
+            return Header(
+                version=self.version or 1,
+                project=self.project,
+                overview=tuple(self.overview),
+                stack=self.stack,
+                dictionary=dictionary,
+            )
         except InvariantError as exc:
-            parser.fail(line_no, 1, ParseErrorKind.INVALID_DICTIONARY, str(exc))
-            continue
-        target[code] = label
+            self.fail(ParseErrorKind.INVALID_DICTIONARY, str(exc))
+            return Header()
 
+    def directive(self, line: str) -> None:
+        word, _, rest = line[1:].partition(" ")
+        rest = rest.strip()
+        malformed = ParseErrorKind.MALFORMED_HEADER
+        if word == "AOCI":
+            if self.version is not None:
+                self.fail(malformed, "duplicate #AOCI directive")
+            elif not rest.isdigit() or int(rest) < 1:
+                self.fail(malformed, f"#AOCI needs an integer version >= 1, got {rest!r}")
+            else:
+                self.version = int(rest)
+        elif word == "PROJECT":
+            if self.project:
+                self.fail(malformed, "duplicate #PROJECT directive")
+            else:
+                self.project = rest
+        elif word == "OVERVIEW":
+            if rest:
+                self.overview.append(rest)
+            else:
+                self.fail(malformed, "#OVERVIEW needs text")
+        elif word == "STACK":
+            if self.stack:
+                self.fail(malformed, "duplicate #STACK directive")
+            else:
+                self.stack = rest
+        elif word == "DIM":
+            self.dim(rest)
+        elif word == "TDIM":
+            name, _, body = rest.partition(" ")
+            if name in self.tdims:
+                self.code_map(body.strip(), name, self.tdims[name])
+            else:
+                self.fail(
+                    malformed, f"#TDIM dimension must be DOMAIN, TYPE, SCALE or FEAT, got {name!r}"
+                )
+        elif word == "BUDGET":
+            self.budget(rest)
+        else:
+            self.fail(ParseErrorKind.UNKNOWN_DIRECTIVE, f"unknown directive #{word}")
 
-_BUDGET_RE = re.compile(r"^(\d):(\d+)-(\d+)$")
-
-
-def _parse_budget(rest: str, line_no: int, builder: _HeaderBuilder, parser: _Parser) -> None:
-    if not rest:
-        parser.fail(line_no, 1, ParseErrorKind.MALFORMED_HEADER, "#BUDGET needs level:min-max pairs")
-        return
-    for token in rest.split():
-        match = _BUDGET_RE.match(token)
-        if not match:
-            parser.fail(
-                line_no,
-                1,
+    def dim(self, rest: str) -> None:
+        name, _, body = rest.partition(" ")
+        body = body.strip()
+        if name == "C":
+            for part in body.split(","):
+                part = part.strip()
+                if part.isdigit() and int(part) in IMPORTANCE_SCALE:
+                    self.dim_c.add(int(part))
+                else:
+                    self.fail(
+                        ParseErrorKind.INVALID_DICTIONARY,
+                        f"importance level {part!r} is not one of "
+                        + "/".join(str(v) for v in IMPORTANCE_SCALE),
+                    )
+        elif name not in self.dims:
+            self.fail(
                 ParseErrorKind.MALFORMED_HEADER,
-                f"budget entry {token!r} is not <digit>:<min>-<max>",
+                f"#DIM dimension must be A, B, C, D or E, got {name!r}",
             )
-            continue
-        level, lo, hi = int(match.group(1)), int(match.group(2)), int(match.group(3))
-        if level not in IMPORTANCE_SCALE:
-            parser.fail(
-                line_no,
-                1,
-                ParseErrorKind.INVALID_DICTIONARY,
-                f"budget level {level} is not on the importance scale",
-            )
-            continue
-        if level in builder.budgets:
-            parser.fail(
-                line_no, 1, ParseErrorKind.INVALID_DICTIONARY, f"duplicate budget for level {level}"
-            )
-            continue
-        if lo > hi:
-            parser.fail(
-                line_no,
-                1,
-                ParseErrorKind.INVALID_DICTIONARY,
-                f"budget {level}: min {lo} exceeds max {hi}",
-            )
-            continue
-        builder.budgets[level] = (lo, hi)
+        else:
+            self.code_map(body, name, self.dims[name])
+            if name == "E" and len(self.dims["E"]) > 4:
+                self.fail(
+                    ParseErrorKind.INVALID_DICTIONARY,
+                    "dimension E allows at most four scale levels",
+                )
+                # Drop the overflow so the parse can continue.
+                for code in list(self.dims["E"])[4:]:
+                    del self.dims["E"][code]
+
+    def code_map(self, body: str, name: str, target: dict[str, str]) -> None:
+        if not body:
+            self.fail(ParseErrorKind.MALFORMED_HEADER, f"dimension {name} has no code list")
+            return
+        for item in body.split(","):
+            code, eq, label = item.partition("=")
+            code = code.strip()
+            label = label.strip()
+            if not eq:
+                self.fail(
+                    ParseErrorKind.MALFORMED_HEADER,
+                    f"dimension {name}: expected code=label, got {item.strip()!r}",
+                )
+            elif code in target:
+                self.fail(
+                    ParseErrorKind.INVALID_DICTIONARY, f"dimension {name}: duplicate code {code!r}"
+                )
+            else:
+                try:
+                    check_code(name, code)
+                    check_label(name, label)
+                except InvariantError as exc:
+                    self.fail(ParseErrorKind.INVALID_DICTIONARY, str(exc))
+                else:
+                    target[code] = label
+
+    def budget(self, rest: str) -> None:
+        if not rest:
+            self.fail(ParseErrorKind.MALFORMED_HEADER, "#BUDGET needs level:min-max pairs")
+        for token in rest.split():
+            match = _BUDGET_RE.match(token)
+            if not match:
+                self.fail(
+                    ParseErrorKind.MALFORMED_HEADER,
+                    f"budget entry {token!r} is not <digit>:<min>-<max>",
+                )
+                continue
+            level, lo, hi = map(int, match.groups())
+            # A dictionary cannot hold two rows for one level, so the parser
+            # checks this before the row itself.
+            if level in self.budgets:
+                self.fail(ParseErrorKind.INVALID_DICTIONARY, f"duplicate budget for level {level}")
+                continue
+            try:
+                check_budget(level, lo, hi)
+            except InvariantError as exc:
+                self.fail(ParseErrorKind.INVALID_DICTIONARY, str(exc))
+            else:
+                self.budgets[level] = (lo, hi)
 
 
 def parse_code_entry_line(line: str, dictionary: TagDictionary) -> CodeEntry:
@@ -767,11 +732,7 @@ def parse_code_entry_line(line: str, dictionary: TagDictionary) -> CodeEntry:
     Raises:
         ParseError: with line number 1.
     """
-    parser = _Parser()
-    entry = _parse_code_line(line.strip(), 1, dictionary, parser)
-    if entry is None:
-        raise parser.errors[0]
-    return entry
+    return _parse_code_line(line.strip(), 1, dictionary)
 
 
 #: The ``CodeEntry`` field values of one entry line, in field order.
@@ -789,50 +750,37 @@ def code_line_fields(line: str, dictionary: TagDictionary) -> CodeFields:
     Raises:
         ParseError: with line number 1.
     """
-    parser = _Parser()
-    fields = _code_line_fields(line.strip(), 1, dictionary, parser)
-    if fields is None:
-        raise parser.errors[0]
-    return fields
+    return _code_line_fields(line.strip(), 1, dictionary)
 
 
-def _parse_code_line(
-    line: str, line_no: int, dictionary: TagDictionary, parser: _Parser
-) -> CodeEntry | None:
-    fields = _code_line_fields(line, line_no, dictionary, parser)
-    if fields is None:
-        return None
+def _parse_code_line(line: str, line_no: int, dictionary: TagDictionary) -> CodeEntry:
+    fields = _code_line_fields(line, line_no, dictionary)
     try:
         return CodeEntry(*fields)
     except (InvariantError, InvalidPath) as exc:
-        parser.fail(line_no, 1, ParseErrorKind.MALFORMED_ENTRY, str(exc))
-        return None
+        raise ParseError(line_no, 1, ParseErrorKind.MALFORMED_ENTRY, str(exc)) from None
 
 
-def _code_line_fields(
-    line: str, line_no: int, dictionary: TagDictionary, parser: _Parser
-) -> CodeFields | None:
+def _code_line_fields(line: str, line_no: int, dictionary: TagDictionary) -> CodeFields:
     match = _ENTRY_RE.match(line)
     if not match:
-        parser.fail(
+        raise ParseError(
             line_no,
             1,
             ParseErrorKind.MALFORMED_ENTRY,
             "entry line must look like path[TAG]: F:... | R:... | A:... | S:...",
         )
-        return None
     path_text, tag_text, rest = match.group(1).strip(), match.group(2), match.group(3)
 
     parts = rest.split("|")
     if len(parts) != len(_ELEMENT_PREFIXES):
         column = max(1, min(len(line), len(line) - len(rest) + 1))
-        parser.fail(
+        raise ParseError(
             line_no,
             column,
             ParseErrorKind.MALFORMED_ENTRY,
             f"expected four |-separated elements, found {len(parts)}",
         )
-        return None
     f_part, r_part, a_part, s_part = parts = [part.strip() for part in parts]
     if not (
         f_part[:2] == "F:" and r_part[:2] == "R:" and a_part[:2] == "A:" and s_part[:2] == "S:"
@@ -840,13 +788,12 @@ def _code_line_fields(
         # Name the first element whose prefix is wrong.
         for position, (prefix, part) in enumerate(zip(_ELEMENT_PREFIXES, parts), start=1):
             if not part.startswith(prefix):
-                parser.fail(
+                raise ParseError(
                     line_no,
                     1,
                     ParseErrorKind.MALFORMED_ENTRY,
                     f"expected element {prefix} in position {position}, got {part[:20]!r}",
                 )
-                return None
     f_text, r_text, a_text, s_text = [
         "" if value == EMPTY_SENTINEL else value
         for value in (f_part[2:].strip(), r_part[2:].strip(), a_part[2:].strip(), s_part[2:].strip())
@@ -858,10 +805,9 @@ def _code_line_fields(
         if _HAS_SPACE(r_text):
             pieces = [piece.strip() for piece in pieces]
         if "" in pieces:
-            parser.fail(
+            raise ParseError(
                 line_no, 1, ParseErrorKind.MALFORMED_ENTRY, f"empty reference in R element {r_text!r}"
             )
-            return None
         refs = tuple(pieces)
 
     tag: str | None = None
@@ -871,28 +817,25 @@ def _code_line_fields(
         try:
             decoded = decode_tag(tag, dictionary)
         except TagError as exc:
-            if tag not in dictionary.dim_e:
-                column = line.find("[") + 2 if "[" in line else 1
-                parser.fail(line_no, column, ParseErrorKind.TAG_DECODE, f"tag {tag!r}: {exc}")
-                return None
             # A lone scale code is the residual tag form emitted by tag
             # ablation; it stays attached without a decoding.
-            decoded = None
+            if tag not in dictionary.dim_e:
+                column = line.find("[") + 2 if "[" in line else 1
+                raise ParseError(
+                    line_no, column, ParseErrorKind.TAG_DECODE, f"tag {tag!r}: {exc}"
+                ) from None
     return path_text, tag, decoded, f_text, refs, a_text, s_text
 
 
-def _parse_table_line(
-    line: str, line_no: int, dictionary: TagDictionary, parser: _Parser
-) -> TableEntry | None:
+def _parse_table_line(line: str, line_no: int, dictionary: TagDictionary) -> TableEntry:
     match = _ENTRY_RE.match(line)
     if not match:
-        parser.fail(
+        raise ParseError(
             line_no,
             1,
             ParseErrorKind.MALFORMED_ENTRY,
             "table line must look like name[DOMAIN-TYPE-SCALE-FEATS]: description",
         )
-        return None
     name, tag_text, rest = match.group(1).strip(), match.group(2), match.group(3)
     fields_text = rest.strip()
     if fields_text == EMPTY_SENTINEL:
@@ -905,10 +848,9 @@ def _parse_table_line(
             domain, ttype, scale, features = decode_table_tag(tag_text.strip(), dictionary)
         except TagError as exc:
             column = line.find("[") + 2 if "[" in line else 1
-            parser.fail(
+            raise ParseError(
                 line_no, column, ParseErrorKind.TAG_DECODE, f"table tag {tag_text!r}: {exc}"
-            )
-            return None
+            ) from None
     try:
         return TableEntry(
             name=name,
@@ -919,5 +861,4 @@ def _parse_table_line(
             fields_text=fields_text,
         )
     except InvariantError as exc:
-        parser.fail(line_no, 1, ParseErrorKind.MALFORMED_ENTRY, str(exc))
-        return None
+        raise ParseError(line_no, 1, ParseErrorKind.MALFORMED_ENTRY, str(exc)) from None

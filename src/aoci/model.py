@@ -92,6 +92,14 @@ def check_label(dimension: str, label: str) -> None:
         )
 
 
+def check_budget(level: int, lo: int, hi: int) -> None:
+    """Raise InvariantError unless ``level: lo-hi`` is a usable budget row."""
+    if level not in IMPORTANCE_SCALE:
+        raise InvariantError(f"budget level {level} is not on the importance scale")
+    if lo < 0 or lo > hi:
+        raise InvariantError(f"budget {level}: min {lo} exceeds max {hi}")
+
+
 def _check_text(value: str, owner: str, element: str) -> None:
     """Free-text element constraints that keep the line grammar closed.
 
@@ -164,12 +172,8 @@ class TagDictionary:
             for label in mapping.values():
                 check_label(name, label)
         budgets = {}
-        for level, bounds in self.budgets.items():
-            lo, hi = bounds
-            if level not in IMPORTANCE_SCALE:
-                raise InvariantError(f"budget level {level} is not on the scale")
-            if lo < 0 or lo > hi:
-                raise InvariantError(f"budget {level}: min {lo} exceeds max {hi}")
+        for level, (lo, hi) in self.budgets.items():
+            check_budget(level, lo, hi)
             budgets[level] = (int(lo), int(hi))
         object.__setattr__(self, "budgets", budgets)
         lengths = {

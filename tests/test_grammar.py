@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from aoci.grammar import (
     decode_tag,
     encode_tag,
     parse_code_entry_line,
+    parse_header,
     parse_index,
     parse_index_report,
     scan_index,
@@ -454,6 +456,17 @@ def test_invalid_importance_level_in_header():
         parse_index("#AOCI 1\n#DIM C 9,4\n@CODE\n")
 
 
+def test_budget_rows_report_each_bad_item_of_the_directive():
+    report = parse_index_report("#AOCI 1\n#BUDGET 4:1-2 7:90-10 9:1-2 9:5-1 x 3:0-0\n@CODE\n")
+    assert [(e.line_number, e.kind, e.message) for e in report.errors] == [
+        (2, ParseErrorKind.INVALID_DICTIONARY, "budget level 4 is not on the importance scale"),
+        (2, ParseErrorKind.INVALID_DICTIONARY, "budget 7: min 90 exceeds max 10"),
+        (2, ParseErrorKind.INVALID_DICTIONARY, "duplicate budget for level 9"),
+        (2, ParseErrorKind.MALFORMED_HEADER, "budget entry 'x' is not <digit>:<min>-<max>"),
+    ]
+    assert report.index.header.dictionary.budgets == {9: (1, 2), 3: (0, 0)}
+
+
 def test_bad_utf8_is_located_parse_error():
     data = b"#AOCI 1\n@CODE\n\xff\xfe broken\n"
     with pytest.raises(ParseError) as excinfo:
@@ -481,6 +494,95 @@ def test_parser_never_crashes_on_bytes(data):
     except ParseError as exc:
         assert exc.line_number >= 1
         assert exc.column >= 1
+
+
+def _corrupt(rng: random.Random, index: Index, n_bad: int):
+    """The canonical text of ``index`` with ``n_bad`` entry or table lines
+    corrupted, and each corrupted line's number and expected error kind.
+
+    The first code line stays intact, so a duplicate always has an earlier
+    untouched path to copy.
+    """
+    lines = serialize_index(index).split("\n")
+    code_at = lines.index("@CODE") + 1
+    n_code = len(index.code_entries)
+    tables_at = code_at + n_code + 1
+    candidates = list(range(code_at + 1, code_at + n_code))
+    candidates += range(tables_at, tables_at + len(index.table_entries))
+    expected = {}
+    for at in sorted(rng.sample(candidates, n_bad)):
+        line = lines[at]
+        if at >= tables_at:
+            lines[at] = re.sub(r"\[[^\]]*\]", "[z-z-z-]", line, count=1)
+            expected[at] = ParseErrorKind.TAG_DECODE
+            continue
+        corruption = rng.choice(("tag", "element", "duplicate"))
+        if corruption == "tag":
+            lines[at] = re.sub(r"\[[^\]]*\]", "[Z9]", line, count=1)
+            expected[at] = ParseErrorKind.TAG_DECODE
+        elif corruption == "element":
+            lines[at] = line.rsplit(" | ", 1)[0]
+            expected[at] = ParseErrorKind.MALFORMED_ENTRY
+        else:
+            earlier = rng.choice([i for i in range(code_at, at) if i not in expected])
+            path = index.code_entries[earlier - code_at].path
+            lines[at] = path + line[len(index.code_entries[at - code_at].path) :]
+            expected[at] = ParseErrorKind.DUPLICATE_PATH
+    return "\n".join(lines), [(at + 1, kind) for at, kind in expected.items()]
+
+
+def _located(error: ParseError):
+    return error.line_number, error.column, error.kind, error.message
+
+
+@given(st.integers(0, 2**32), st.integers(1, 5))
+@settings(max_examples=80, deadline=None)
+def test_each_corrupted_line_costs_one_error_and_only_its_entry(seed, n_bad):
+    rng = random.Random(seed)
+    index = make_index(rng, rng.randint(n_bad + 1, 20), tables=rng.randint(0, 4))
+    text, expected = _corrupt(rng, index, n_bad)
+    code_at = serialize_index(index).split("\n").index("@CODE") + 1
+    bad = {line_no - 1 for line_no, _ in expected}
+
+    report = parse_index_report(text)
+    assert [(e.line_number, e.kind) for e in report.errors] == expected
+    assert report.index is not None
+    assert report.index.code_entries == tuple(
+        entry for i, entry in enumerate(index.code_entries) if code_at + i not in bad
+    )
+    tables_at = code_at + len(index.code_entries) + 1
+    assert report.index.table_entries == tuple(
+        table for i, table in enumerate(index.table_entries) if tables_at + i not in bad
+    )
+    with pytest.raises(ParseError) as excinfo:
+        parse_index(text)
+    assert _located(excinfo.value) == _located(report.errors[0])
+
+
+@given(st.integers(0, 2**32), st.integers(0, 3), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_parse_header_reads_only_the_header(seed, n_bad, bad_directive):
+    rng = random.Random(seed)
+    index = make_index(rng, rng.randint(n_bad + 1, 12), tables=rng.randint(0, 3))
+    text = serialize_index(index)
+    assert parse_header(text) == parse_index(text).header
+    text, _ = _corrupt(rng, index, n_bad)
+    assert parse_header(text) == index.header
+    if bad_directive:
+        lines = text.split("\n")
+        at = rng.randrange(lines.index("@CODE"))
+        lines[at] = "#BOGUS" + lines[at][lines[at].find(" ") :]
+        text = "\n".join(lines)
+        with pytest.raises(ParseError) as excinfo:
+            parse_header(text)
+        assert _located(excinfo.value) == _located(parse_index_report(text).errors[0])
+
+
+def test_parse_header_ignores_bad_bytes_after_the_marker():
+    assert parse_header(b"#AOCI 2\n@CODE\n\xff\n").version == 2
+    with pytest.raises(ParseError) as excinfo:
+        parse_header(b"#AOCI 2\n\xff\n@CODE\n")
+    assert (excinfo.value.line_number, excinfo.value.kind) == (2, ParseErrorKind.ENCODING)
 
 
 # ---------------------------------------------------------------------------

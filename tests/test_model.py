@@ -166,6 +166,13 @@ def test_dictionary_budget_bounds():
         TagDictionary(budgets={4: (10, 20)})
 
 
+def test_dictionary_budget_messages_match_the_parser():
+    with pytest.raises(InvariantError, match="^budget level 4 is not on the importance scale$"):
+        TagDictionary(budgets={4: (10, 20)})
+    with pytest.raises(InvariantError, match="^budget 7: min 90 exceeds max 10$"):
+        TagDictionary(budgets={7: (90, 10)})
+
+
 def test_table_entry_name_must_be_identifier():
     with pytest.raises(InvariantError):
         TableEntry("user-table")
