@@ -40,6 +40,7 @@ from .grammar import (
     IndexLines,
     decode_tag,
     parse_code_entry_line,
+    parse_header,
     parse_index,
     parse_index_report,
     scan_index,
@@ -512,8 +513,7 @@ def _cmd_score(args: argparse.Namespace) -> ExitCode:
 
 
 def _cmd_decode_tag(args: argparse.Namespace) -> ExitCode:
-    index = _load_index(args.index)
-    dictionary = index.header.dictionary
+    dictionary = parse_header(_read_bytes(args.index)).dictionary
     try:
         decoded = decode_tag(args.tag, dictionary)
     except TagError as exc:

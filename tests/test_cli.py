@@ -107,6 +107,22 @@ def test_decode_tag_cli_reports_an_ambiguous_tag(tmp_path, capsys):
     assert captured.err == "error: tag 'WA9JT': 'JT' splits into D codes 2 ways\n"
 
 
+def test_decode_tag_cli_reads_only_the_header(tmp_path, capsys):
+    target = tmp_path / "ambiguous.aoci"
+    target.write_text(AMBIGUOUS_INDEX, encoding="utf-8")
+    assert run(["decode-tag", "WA9J", "--index", str(target)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "layer: W=Middleware\nmodule: A=Auth\nimportance: 9\nfeatures: J=JWT\nscale: -\n"
+    )
+    assert captured.err == ""
+    target.write_text(AMBIGUOUS_INDEX.replace("#DIM D", "#BOGUS\n#DIM D"), encoding="utf-8")
+    assert run(["decode-tag", "WA9J", "--index", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 5, column 1: unknown directive #BOGUS\n"
+
+
 def test_check_coverage_output(tmp_path, capsys):
     files = tmp_path / "files.txt"
     files.write_text("auth.go\nconfig.yaml\nextra.go\n", encoding="utf-8")

@@ -30,6 +30,7 @@ _LOADED_AFTER = (
         ["fmt", str(GOLDEN), "--verify"],
         ["stats", str(GOLDEN)],
         ["ablate", str(GOLDEN), "--variant", "wo-ABCDE"],
+        ["decode-tag", "WA9JM", "--index", str(GOLDEN)],
     ],
     ids=lambda argv: argv[0],
 )
