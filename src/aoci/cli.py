@@ -297,7 +297,15 @@ def _cmd_check(args: argparse.Namespace) -> ExitCode:
         print(issues_text(issues))
     if args.report:
         records = [
-            {"severity": "error", "rule": "parse", "subject": args.index, "message": str(err)}
+            {
+                "severity": "error",
+                "rule": "parse",
+                "subject": args.index,
+                "message": str(err),
+                "kind": err.kind.value,
+                "line": err.line_number,
+                "column": err.column,
+            }
             for err in parse_errors
         ] + issues_records(issues)
         _write_text(args.report, json.dumps(records, indent=2) + "\n")

@@ -98,6 +98,26 @@ def test_check_reports_an_ambiguous_tag_as_one_located_parse_error(tmp_path, cap
     assert [error.kind for error in errors] == [ParseErrorKind.TAG_DECODE]
 
 
+def test_check_report_keeps_a_parse_error_located_and_kinded(tmp_path, capsys):
+    target = tmp_path / "ambiguous.aoci"
+    target.write_text(AMBIGUOUS_INDEX, encoding="utf-8")
+    report = tmp_path / "report.json"
+    assert run(["check", str(target), "--report", str(report)]) == 1
+    capsys.readouterr()
+    parse_record, *rule_records = json.loads(report.read_text(encoding="utf-8"))
+    assert parse_record == {
+        "severity": "error",
+        "rule": "parse",
+        "subject": str(target),
+        "message": "line 7, column 9: tag 'WA9JT': 'JT' splits into D codes 2 ways",
+        "kind": "tag-decode",
+        "line": 7,
+        "column": 9,
+    }
+    assert [record["rule"] for record in rule_records] == ["W2"]
+    assert "kind" not in rule_records[0]
+
+
 def test_decode_tag_cli_reports_an_ambiguous_tag(tmp_path, capsys):
     target = tmp_path / "dictionary.aoci"
     target.write_text(AMBIGUOUS_INDEX.replace("[WA9JT]", "[WA9J]"), encoding="utf-8")
