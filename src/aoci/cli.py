@@ -38,6 +38,7 @@ from .ablation import AblationVariant, apply_ablation
 from .errors import AociError, ConfigError, TagError
 from .grammar import (
     IndexLines,
+    ParseError,
     decode_tag,
     parse_code_entry_line,
     parse_header,
@@ -457,7 +458,10 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
                 line = entry_file.read_text(encoding="utf-8").strip()
                 if not line:
                     continue
-                entry = parse_code_entry_line(line, index.header.dictionary)
+                try:
+                    entry = parse_code_entry_line(line, index.header.dictionary)
+                except ParseError as exc:
+                    raise AociError(f"{entry_file}: {exc}") from None
                 drafts[entry.path] = entry
 
         plan = incremental.plan_update(index, changes)

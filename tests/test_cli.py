@@ -381,6 +381,30 @@ def test_update_cli_with_changes_and_drafts(tmp_path, golden_copy, capsys):
     assert updated.entry_map()["auth.go"].s.startswith("revised synopsis")
 
 
+def test_update_cli_names_the_draft_file_that_fails_to_parse(
+    tmp_path, golden_copy, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    changes = tmp_path / "changes.txt"
+    changes.write_text("M\tauth.go\n", encoding="utf-8")
+    store = tmp_path / "s.tsv"
+    args = ["update", str(golden_copy), "--changes", str(changes), "--store", str(store)]
+    assert run(args) == 0
+    capsys.readouterr()
+    index_before, store_before = golden_copy.read_bytes(), store.read_bytes()
+
+    drafts = tmp_path / "drafts"
+    drafts.mkdir()
+    (drafts / "auth.go.entry.txt").write_text("auth.go[ZZ9]: F:x | R:- | A:- | S:y\n", encoding="utf-8")
+    assert run(args + ["--drafts", str(drafts)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {drafts / 'auth.go.entry.txt'}: line 1, column 9: "
+        "tag 'ZZ9': no A code matches 'ZZ'\n"
+    )
+    assert golden_copy.read_bytes() == index_before
+    assert store.read_bytes() == store_before
+
+
 def test_update_cli_pending_without_draft(tmp_path, golden_copy, capsys):
     changes = tmp_path / "changes.txt"
     changes.write_text("M\tauth.go\n", encoding="utf-8")
