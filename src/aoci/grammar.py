@@ -513,6 +513,9 @@ def _parse_document(text: str, errors: list[ParseError]) -> Index | None:
                     )
                 entries[entry.path] = entry
         except ParseError as error:
+            # A raised error's traceback, and its context's, hold this frame
+            # and so the whole document for as long as the report lives.
+            error.__traceback__ = error.__context__ = None
             errors.append(error)
     return Index(header, tuple(entries.values()), tuple(tables.values()))
 

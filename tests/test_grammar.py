@@ -578,6 +578,13 @@ def test_parse_header_reads_only_the_header(seed, n_bad, bad_directive):
         assert _located(excinfo.value) == _located(parse_index_report(text).errors[0])
 
 
+def test_collected_errors_keep_no_parser_frames_alive():
+    text = "#AOCI 1\n@CODE\nx.go[Z9]: F:- | R:- | A:- | S:-\ny.go: F:-\n"
+    for error in parse_index_report(text).errors:
+        assert error.__traceback__ is None
+        assert error.__context__ is None
+
+
 def test_parse_header_ignores_bad_bytes_after_the_marker():
     assert parse_header(b"#AOCI 2\n@CODE\n\xff\n").version == 2
     with pytest.raises(ParseError) as excinfo:
