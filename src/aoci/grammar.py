@@ -75,6 +75,7 @@ from .model import (
     check_budget,
     check_code,
     check_label,
+    is_ascii_int,
 )
 
 _DIGITS = set("0123456789")
@@ -549,7 +550,7 @@ def _read_header(lines: list[str], errors: list[ParseError]) -> tuple[Header | N
     return None, len(lines)
 
 
-_BUDGET_RE = re.compile(r"^(\d):(\d+)-(\d+)$")
+_BUDGET_RE = re.compile(r"^([0-9]):([0-9]+)-([0-9]+)$")
 
 
 class _HeaderReader:
@@ -559,6 +560,7 @@ class _HeaderReader:
     def __init__(self, errors: list[ParseError]):
         self.errors = errors
         self.line_no = 0
+        self.seen: set[str] = set()  # the singleton directives read so far
         self.version: int | None = None
         self.project = ""
         self.overview: list[str] = []
@@ -611,28 +613,25 @@ class _HeaderReader:
         word, _, rest = line[1:].partition(" ")
         rest = rest.strip()
         malformed = ParseErrorKind.MALFORMED_HEADER
+        if word in ("AOCI", "PROJECT", "STACK"):
+            if word in self.seen:
+                self.fail(malformed, f"duplicate #{word} directive")
+                return
+            self.seen.add(word)
         if word == "AOCI":
-            if self.version is not None:
-                self.fail(malformed, "duplicate #AOCI directive")
-            elif not rest.isdigit() or int(rest) < 1:
+            if not is_ascii_int(rest) or int(rest) < 1:
                 self.fail(malformed, f"#AOCI needs an integer version >= 1, got {rest!r}")
             else:
                 self.version = int(rest)
         elif word == "PROJECT":
-            if self.project:
-                self.fail(malformed, "duplicate #PROJECT directive")
-            else:
-                self.project = rest
+            self.project = rest
         elif word == "OVERVIEW":
             if rest:
                 self.overview.append(rest)
             else:
                 self.fail(malformed, "#OVERVIEW needs text")
         elif word == "STACK":
-            if self.stack:
-                self.fail(malformed, "duplicate #STACK directive")
-            else:
-                self.stack = rest
+            self.stack = rest
         elif word == "DIM":
             self.dim(rest)
         elif word == "TDIM":
@@ -654,7 +653,7 @@ class _HeaderReader:
         if name == "C":
             for part in body.split(","):
                 part = part.strip()
-                if part.isdigit() and int(part) in IMPORTANCE_SCALE:
+                if is_ascii_int(part) and int(part) in IMPORTANCE_SCALE:
                     self.dim_c.add(int(part))
                 else:
                     self.fail(

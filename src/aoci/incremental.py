@@ -77,7 +77,7 @@ from .model import (
 from .tree import stat_read, walk_files
 from .validator import RefResolver, sans_ext
 
-_STATUS_RE = re.compile(r"^([AMD]|R\d*)$")
+_STATUS_RE = re.compile(r"^([AMD]|R[0-9]*)$")
 
 
 def content_digest(data: bytes) -> str:

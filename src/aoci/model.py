@@ -100,6 +100,13 @@ def check_budget(level: int, lo: int, hi: int) -> None:
         raise InvariantError(f"budget {level}: min {lo} exceeds max {hi}")
 
 
+def is_ascii_int(text: str) -> bool:
+    """Whether ``text`` is one or more ASCII digits, the only integer spelling
+    in headers, rules files and change listings. ``str.isdigit`` alone also
+    takes ``²``, which ``int`` rejects, and ``int`` takes ``٣`` and ``1_000``."""
+    return text.isascii() and text.isdigit()
+
+
 def _check_text(value: str, owner: str, element: str) -> None:
     """Free-text element constraints that keep the line grammar closed.
 

@@ -60,6 +60,7 @@ from .model import (
     Index,
     TagDictionary,
     canonical_path,
+    is_ascii_int,
 )
 from .tree import stat_read, walk_files
 # resolves_to is unused here; perfbench/spans.py patches aoci.scaffold.resolves_to by name.
@@ -224,10 +225,10 @@ def _build_size(lines: list[tuple[str, str]]) -> tuple[tuple[int, int, int], tup
     rest = [code for lhs, code in lines if lhs == "*"]
     if len(numeric) != 3 or len(rest) != 1:
         raise ConfigError("[size] needs three numeric cutoffs and one * line")
-    try:
-        cutoffs = tuple(int(lhs) for lhs, _ in numeric)
-    except ValueError as exc:
-        raise ConfigError(f"[size] cutoffs must be integers: {exc}") from exc
+    for lhs, _ in numeric:
+        if not is_ascii_int(lhs):
+            raise ConfigError(f"[size] cutoffs must be integers, got {lhs!r}")
+    cutoffs = tuple(int(lhs) for lhs, _ in numeric)
     codes = tuple(code for _, code in numeric) + (rest[0],)
     return cutoffs, codes  # type: ignore[return-value]
 
@@ -238,7 +239,7 @@ def _build_quantiles(lines: list[tuple[str, str]]) -> tuple[tuple[float, int], .
     fractions: list[tuple[float, int]] = []
     rest_digit: int | None = None
     for lhs, rhs in lines:
-        if not rhs.isdigit():
+        if not is_ascii_int(rhs):
             raise ConfigError(f"[importance] digit must be numeric, got {rhs!r}")
         digit = int(rhs)
         if lhs == "*":

@@ -80,6 +80,25 @@ def test_check_reports_duplicates_and_unknown_codes_as_located_parse_errors(tmp_
     )
 
 
+@pytest.mark.parametrize(
+    "header, line, message",
+    [
+        ("#AOCI ²", 1, "#AOCI needs an integer version >= 1, got '²'"),
+        ("#AOCI ١", 1, "#AOCI needs an integer version >= 1, got '١'"),
+        ("#AOCI 1\n#DIM C 9,²", 2, "importance level '²' is not one of 9/8/7/5/3/1"),
+        ("#AOCI 1\n#BUDGET ٩:80-150", 2, "budget entry '٩:80-150' is not <digit>:<min>-<max>"),
+    ],
+    ids=["aoci-superscript", "aoci-arabic-indic", "dim-c", "budget"],
+)
+def test_check_locates_a_non_ascii_header_integer(tmp_path, capsys, header, line, message):
+    target = tmp_path / "digits.aoci"
+    target.write_text(f"{header}\n#DIM A W=Middleware\n#DIM B A=Auth\n@CODE\n", encoding="utf-8")
+    assert run(["check", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[0] == f"error parse {target}: line {line}, column 1: {message}"
+    assert "Traceback" not in captured.err
+
+
 AMBIGUOUS_INDEX = (
     "#AOCI 1\n#DIM A W=Middleware\n#DIM B A=Auth\n#DIM C 9,8,7,5,3,1\n"
     "#DIM D J=JWT,T=Token,JT=JWT token\n@CODE\n"

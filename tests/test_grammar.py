@@ -424,6 +424,34 @@ def test_missing_version_directive():
         parse_index("#PROJECT x\n@CODE\n")
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("#PROJECT", "#PROJECT x"),
+        ("#PROJECT x", "#PROJECT y"),
+        ("#STACK", "#STACK go"),
+        ("#AOCI 1", "#AOCI 2"),
+    ],
+)
+def test_a_singleton_directive_may_appear_once(first, second):
+    word = second.split()[0]
+    header = "#AOCI 1\n" if word != "#AOCI" else ""
+    report = parse_index_report(f"{header}{first}\n{second}\n@CODE\n")
+    at = header.count("\n") + 2
+    assert [(e.line_number, e.column, e.message) for e in report.errors] == [
+        (at, 1, f"duplicate {word} directive")
+    ]
+
+
+def test_a_bad_version_directive_still_counts_as_seen():
+    report = parse_index_report("#AOCI x\n#AOCI 1\n@CODE\n")
+    assert [(e.line_number, e.message) for e in report.errors] == [
+        (1, "#AOCI needs an integer version >= 1, got 'x'"),
+        (2, "duplicate #AOCI directive"),
+        (3, "missing #AOCI version directive before the first section"),
+    ]
+
+
 def test_missing_code_section():
     with pytest.raises(ParseError, match="@CODE"):
         parse_index("#AOCI 1\n")

@@ -92,6 +92,8 @@ def test_parse_changeset_bare_rename_status():
         ("M\tb.go\n\nR100\ta.go\tb.go", 3),
         ("R100\ta.go\tb.go\nA\tb.go", 2),
         ("R100\ta.go\tc.go\nR100\tb.go\tc.go", 2),
+        ("R٣\ta.go\tb.go", 1),
+        ("M\ta.go\nR1٠٠\tb.go\tc.go", 2),
     ],
 )
 def test_parse_changeset_errors_located(text, line):

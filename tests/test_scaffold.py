@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import UNREADABLE, WALK_GLOB_SETS, make_walk_tree, reference_walk
+from aoci.cli import run
 from aoci.errors import ConfigError
 from aoci.grammar import decode_tag, serialize_index
 from aoci.scaffold import (
@@ -107,6 +108,25 @@ def test_parse_rules_file_sections(rules):
 def test_parse_rules_file_rejects(bad):
     with pytest.raises(ConfigError):
         parse_rules_file(bad)
+
+
+@pytest.mark.parametrize(
+    "rules_text",
+    [
+        "[importance]\n* = ²\n",
+        "[importance]\n* = ٣\n",
+        "[size]\n٣ = T\n300 = S\n800 = M\n* = L\n",
+        "[size]\n100 = T\n300 = S\n1_000 = M\n* = L\n",
+    ],
+    ids=["importance-superscript", "importance-arabic-indic", "size-arabic-indic", "size-1_000"],
+)
+def test_scaffold_rejects_a_non_ascii_rules_integer(tmp_path, capsys, rules_text):
+    rules = tmp_path / "rules.txt"
+    rules.write_text(rules_text, encoding="utf-8")
+    assert run(["scaffold", str(tmp_path), "--rules", str(rules)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [")
 
 
 def test_rules_validation():
