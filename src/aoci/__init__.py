@@ -100,8 +100,8 @@ _MODULE_EXPORTS = {
     ),
     "validator": (
         "CoverageReport",
+        "Diagnostic",
         "Severity",
-        "ValidationIssue",
         "check_coverage",
         "validate_index",
     ),

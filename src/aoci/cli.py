@@ -5,8 +5,8 @@ Subcommands::
     aoci check <index> [--files <list>] [--strict] [--report <file>]
     aoci fmt <index> [--verify]
     aoci scaffold <root> --rules <file> [--out <index>] [--prompts <dir>]
-    aoci update <index> --changes <file|-> [--drafts <dir>]
-                [--detect --store <file>]
+    aoci update <index> --changes <file|-> [--drafts <dir>] [--store <file>]
+    aoci update <index> --detect --store <file> [--drafts <dir>]
     aoci ablate <index> --variant <name> [--tables]
     aoci stats <index> [--loc <n>] [--records <file>]
     aoci score where|what --pred <file> --truth <file>
@@ -49,14 +49,7 @@ from .grammar import (
 )
 from .metrics import TokenEstimator, index_stats, score_what, score_where, stats_records, stats_table
 from .model import CodeEntry, Index, canonical_path
-from .validator import (
-    Severity,
-    check_coverage,
-    has_errors,
-    issues_records,
-    issues_text,
-    validate_index,
-)
+from .validator import Diagnostic, check_coverage, has_errors, validate_index
 
 ESTIMATOR_ENV = "AOCI_ESTIMATOR"
 
@@ -283,32 +276,19 @@ def _lock_path(index: str) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> ExitCode:
-    data = _read_bytes(args.index)
-    if args.strict:
-        index = parse_index(data)  # ParseError propagates as exit 1
-        parse_errors = []
-    else:
-        report = parse_index_report(data)
-        parse_errors = report.errors
-        for error in parse_errors:
-            print(f"error parse {args.index}: {error}", file=sys.stderr)
-        index = report.index
-    issues = validate_index(index, _estimator()) if index is not None else []
-    if issues:
-        print(issues_text(issues))
+    report = parse_index_report(_read_bytes(args.index))
+    if args.strict and report.errors:
+        raise report.errors[0]  # what parse_index raises; exit 1, no report
+    index = report.index
+    diagnostics = [Diagnostic.from_parse_error(error, args.index) for error in report.errors]
+    for diagnostic in diagnostics:
+        print(diagnostic.render(), file=sys.stderr)
+    findings = validate_index(index, _estimator()) if index is not None else []
+    for diagnostic in findings:
+        print(diagnostic.render())
+    diagnostics += findings
     if args.report:
-        records = [
-            {
-                "severity": "error",
-                "rule": "parse",
-                "subject": args.index,
-                "message": str(err),
-                "kind": err.kind.value,
-                "line": err.line_number,
-                "column": err.column,
-            }
-            for err in parse_errors
-        ] + issues_records(issues)
+        records = [diagnostic.record() for diagnostic in diagnostics]
         _write_text(args.report, json.dumps(records, indent=2) + "\n")
     if args.files and index is not None:
         file_list = [line for line in _read_text(args.files).splitlines() if line.strip()]
@@ -320,7 +300,7 @@ def _cmd_check(args: argparse.Namespace) -> ExitCode:
             print(f"unindexed: {path}")
         for path in coverage.orphan_entries:
             print(f"orphan entry: {path}")
-    if parse_errors or has_errors(issues):
+    if has_errors(diagnostics):
         return ExitCode.VALIDATION
     return ExitCode.OK
 

@@ -1,11 +1,16 @@
 """Consistency checks for an index: rule catalog, coverage reporting.
 
-Rule catalog
-    E2  R reference resolves to no code entry
-    W1  semantic elements outside the token budget for the importance level
-    W2  dictionary dimension is not prefix-free
-    W3  empty F element on an entry of importance 7 or higher
-    W4  R reference resolves only to a database table
+Every finding of ``aoci check``, parse errors included, is one
+``Diagnostic`` with one ``render`` (a text line) and one ``record`` (a JSON
+object); a parse error's also carries its kind, line and column.
+
+Rule catalog (``RULES`` maps each id to its severity and description)
+    parse  error    located parse error: the document breaks the grammar
+    E2     error    R reference resolves to no code entry
+    W1     warning  semantic elements outside the importance level's budget
+    W2     warning  dictionary dimension is not prefix-free
+    W3     warning  empty F element on an entry of importance 7 or higher
+    W4     warning  R reference resolves only to a database table
 
 Duplicate paths and names, tag codes missing from the dictionary and
 importance digits off the scale have no rules here: the ``Index`` and
@@ -19,12 +24,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import ConfigError
 from .metrics import DEFAULT_ESTIMATOR, TokenEstimator
 from .model import Index, TagDictionary, canonical_path
 from .tree import any_glob
+
+if TYPE_CHECKING:
+    from .grammar import ParseError
 
 #: Budgets applied when the header carries no #BUDGET directive. The 9 row
 #: and the 20-40 floor are protocol constants; the intermediate rows are
@@ -38,33 +46,61 @@ DEFAULT_BUDGETS: dict[int, tuple[int, int]] = {
     1: (20, 40),
 }
 
-RULES: dict[str, str] = {
-    "E2": "R reference resolves to no code entry",
-    "W1": "semantic elements outside the token budget",
-    "W2": "dictionary dimension is not prefix-free",
-    "W3": "empty F element on a high-importance entry",
-    "W4": "R reference resolves only to a database table",
-}
-
 
 class Severity(Enum):
     ERROR = "error"
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    severity: Severity
+RULES: dict[str, tuple[Severity, str]] = {
+    "parse": (Severity.ERROR, "located parse error: the document breaks the grammar"),
+    "E2": (Severity.ERROR, "R reference resolves to no code entry"),
+    "W1": (Severity.WARNING, "semantic elements outside the token budget"),
+    "W2": (Severity.WARNING, "dictionary dimension is not prefix-free"),
+    "W3": (Severity.WARNING, "empty F element on a high-importance entry"),
+    "W4": (Severity.WARNING, "R reference resolves only to a database table"),
+}
+
+
+@dataclass(frozen=True, slots=True)
+class Diagnostic:
+    """One finding of ``aoci check``; its severity is its rule's."""
+
     rule: str
     subject: str
     message: str
+    kind: str | None = None
+    line: int | None = None
+    column: int | None = None
 
     def __post_init__(self):
         if self.rule not in RULES:
             raise ValueError(f"unknown rule id {self.rule!r}")
 
+    @classmethod
+    def from_parse_error(cls, error: ParseError, subject: str) -> Diagnostic:
+        """A parse error of the document named ``subject``, located and kinded."""
+        return cls("parse", subject, str(error), error.kind.value, error.line_number, error.column)
+
+    @property
+    def severity(self) -> Severity:
+        return RULES[self.rule][0]
+
     def render(self) -> str:
+        """The human-readable line."""
         return f"{self.severity.value} {self.rule} {self.subject}: {self.message}"
+
+    def record(self) -> dict:
+        """The machine-readable record, for CI; location keys only when located."""
+        record = {
+            "severity": self.severity.value,
+            "rule": self.rule,
+            "subject": self.subject,
+            "message": self.message,
+        }
+        if self.kind is not None:
+            record.update(kind=self.kind, line=self.line, column=self.column)
+        return record
 
 
 @dataclass(frozen=True)
@@ -165,11 +201,11 @@ def resolves_to(ref: str, path: str) -> bool:
 
 def validate_index(
     index: Index, estimator: TokenEstimator = DEFAULT_ESTIMATOR
-) -> list[ValidationIssue]:
-    """Run the full rule catalog; issues sorted by (subject, rule)."""
+) -> list[Diagnostic]:
+    """Run the full rule catalog; diagnostics sorted by (subject, rule, message)."""
     from .grammar import serialize_semantic_elements
 
-    issues: list[ValidationIssue] = []
+    diagnostics: list[Diagnostic] = []
     dictionary = index.header.dictionary
 
     resolver = RefResolver(index.code_paths())
@@ -179,34 +215,18 @@ def validate_index(
             if resolver.resolves(ref):
                 continue
             if ref in table_names:
-                issues.append(
-                    ValidationIssue(
-                        Severity.WARNING,
-                        "W4",
-                        entry.path,
-                        f"reference {ref!r} names a table, not a code entry",
-                    )
-                )
+                rule, message = "W4", f"reference {ref!r} names a table, not a code entry"
             else:
-                issues.append(
-                    ValidationIssue(
-                        Severity.ERROR,
-                        "E2",
-                        entry.path,
-                        f"reference {ref!r} resolves to no entry",
-                    )
-                )
-
-    for entry in index.code_entries:
-        if entry.decoded is None:
-            continue
+                rule, message = "E2", f"reference {ref!r} resolves to no entry"
+            diagnostics.append(Diagnostic(rule, entry.path, message))
         tag = entry.decoded
+        if tag is None:
+            continue
         tokens = estimator.estimate(serialize_semantic_elements(entry))
         lo, hi = budget_for(dictionary, tag.importance)
         if not lo <= tokens <= hi:
-            issues.append(
-                ValidationIssue(
-                    Severity.WARNING,
+            diagnostics.append(
+                Diagnostic(
                     "W1",
                     entry.path,
                     f"estimated {tokens} tokens outside budget {lo}-{hi} "
@@ -214,29 +234,25 @@ def validate_index(
                 )
             )
         if tag.importance >= 7 and not entry.f:
-            issues.append(
-                ValidationIssue(
-                    Severity.WARNING,
-                    "W3",
-                    entry.path,
-                    f"empty F element on importance {tag.importance} entry",
+            diagnostics.append(
+                Diagnostic(
+                    "W3", entry.path, f"empty F element on importance {tag.importance} entry"
                 )
             )
 
     for name, mapping in dictionary.code_dimensions():
         clash = _prefix_clash(mapping)
         if clash:
-            issues.append(
-                ValidationIssue(
-                    Severity.WARNING,
+            diagnostics.append(
+                Diagnostic(
                     "W2",
                     "header",
                     f"dimension {name} is not prefix-free: {clash[0]!r} prefixes {clash[1]!r}",
                 )
             )
 
-    issues.sort(key=lambda issue: (issue.subject, issue.rule, issue.message))
-    return issues
+    diagnostics.sort(key=lambda d: (d.subject, d.rule, d.message))
+    return diagnostics
 
 
 def _prefix_clash(mapping: dict[str, str]) -> tuple[str, str] | None:
@@ -247,8 +263,8 @@ def _prefix_clash(mapping: dict[str, str]) -> tuple[str, str] | None:
     return None
 
 
-def has_errors(issues: Iterable[ValidationIssue]) -> bool:
-    return any(issue.severity is Severity.ERROR for issue in issues)
+def has_errors(diagnostics: Iterable[Diagnostic]) -> bool:
+    return any(diagnostic.severity is Severity.ERROR for diagnostic in diagnostics)
 
 
 def check_coverage(
@@ -284,21 +300,3 @@ def _check_globs(globs: Iterable[str], which: str) -> tuple[str, ...]:
         if not isinstance(glob, str) or not glob:
             raise ConfigError(f"{which} glob must be a nonempty string, got {glob!r}")
     return out
-
-
-def issues_text(issues: Iterable[ValidationIssue]) -> str:
-    """One human-readable line per issue."""
-    return "\n".join(issue.render() for issue in issues)
-
-
-def issues_records(issues: Iterable[ValidationIssue]) -> list[dict]:
-    """Machine-readable records, one per issue, for CI consumption."""
-    return [
-        {
-            "severity": issue.severity.value,
-            "rule": issue.rule,
-            "subject": issue.subject,
-            "message": issue.message,
-        }
-        for issue in issues
-    ]

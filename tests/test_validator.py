@@ -13,14 +13,7 @@ from conftest import listing_only_index, make_index
 from aoci.errors import ConfigError
 from aoci.grammar import parse_code_entry_line
 from aoci.model import CodeEntry, Header, Index, TableEntry, TagDictionary
-from aoci.validator import (
-    Severity,
-    check_coverage,
-    has_errors,
-    issues_records,
-    issues_text,
-    validate_index,
-)
+from aoci.validator import Severity, check_coverage, has_errors, validate_index
 
 
 def _issues_by_rule(issues):
@@ -126,10 +119,8 @@ def test_issue_ordering_and_rendering(reference_dictionary):
     index = Index(Header(dictionary=reference_dictionary), (a, b))
     issues = validate_index(index)
     assert [issue.subject for issue in issues] == ["a.go", "z.go"]
-    text = issues_text(issues)
-    assert text.splitlines()[0].startswith("error E2 a.go:")
-    records = issues_records(issues)
-    assert records[0]["rule"] == "E2"
+    assert issues[0].render().startswith("error E2 a.go:")
+    assert issues[0].record()["rule"] == "E2"
     assert has_errors(issues)
 
 
