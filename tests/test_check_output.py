@@ -144,7 +144,7 @@ def _run_check(path: str, report: Path, strict: bool) -> tuple[str, str, int, st
 
 
 @given(st.integers(0, 2**32), st.booleans())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_check_writes_what_the_oracle_writes(seed, strict):
     rng = random.Random(seed)
     data = _corrupt(rng, serialize_index(_planted_index(rng)))
