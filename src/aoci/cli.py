@@ -40,15 +40,17 @@ from .grammar import (
     IndexLines,
     ParseError,
     decode_tag,
+    decode_utf8,
     parse_code_entry_line,
     parse_header,
     parse_index,
     parse_index_report,
     scan_index,
+    serialize_blocks,
     serialize_index,
 )
 from .metrics import TokenEstimator, index_stats, score_what, score_where, stats_records, stats_table
-from .model import CodeEntry, Index, canonical_path
+from .model import CodeEntry, Index, canonical_path, is_ascii_int
 from .validator import Diagnostic, check_coverage, has_errors, validate_index
 
 ESTIMATOR_ENV = "AOCI_ESTIMATOR"
@@ -138,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="index statistics")
     p.add_argument("index")
-    p.add_argument("--loc", type=int, help="repository LOC for the compression ratio")
+    p.add_argument("--loc", type=_positive_int, help="repository LOC for the compression ratio")
     p.add_argument("--records", help="write machine-readable stats (JSON) here")
     p.set_defaults(handler=_cmd_stats)
 
@@ -170,10 +172,32 @@ def _estimator() -> TokenEstimator:
         ) from None
 
 
+def _positive_int(text: str) -> int:
+    if not is_ascii_int(text) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    return _decode_text(path, _read_bytes(path))
+
+
+def _decode_text(path: str, data: bytes) -> str:
+    """The text of the file ``path``, whose bytes are ``data``.
+
+    The bytes are decoded by the index's UTF-8 rule, and line breaks are read
+    as text mode reads them: CR LF and a lone CR each become LF.
+
+    Raises:
+        AociError: "<path>: line L, column C: invalid UTF-8 at byte N".
+    """
+    try:
+        text = decode_utf8(data)
+    except ParseError as exc:
+        raise AociError(f"{path}: {exc}") from None
+    if "\r" in text:  # text with LF breaks alone, the usual case, is not copied
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _read_bytes(path: str) -> bytes:
@@ -246,6 +270,12 @@ def _load_index(path: str) -> Index:
     return parse_index(_read_bytes(path))
 
 
+def _write_blocks(blocks: Iterable[str]) -> None:
+    """Write text to stdout one block per call, never joining the blocks."""
+    for block in blocks:
+        sys.stdout.write(block)
+
+
 @contextlib.contextmanager
 def _index_lock(path: str) -> Iterator[None]:
     """Advisory lock against concurrent updates of the same index file.
@@ -306,21 +336,33 @@ def _cmd_check(args: argparse.Namespace) -> ExitCode:
 
 
 def _cmd_fmt(args: argparse.Namespace) -> ExitCode:
-    data = _read_bytes(args.index)
-    canonical = serialize_index(parse_index(data))
-    if args.verify:
-        if canonical.encode("utf-8") != data:
-            print(f"{args.index}: not in canonical form", file=sys.stderr)
-            return ExitCode.VALIDATION
+    if not args.verify:
+        _write_blocks(serialize_blocks(_load_index(args.index)))
         return ExitCode.OK
-    sys.stdout.write(canonical)
-    return ExitCode.OK
+    # The input may be stdin, so its bytes are kept to compare against. Each
+    # block is compared in place (startswith copies nothing).
+    data = _read_bytes(args.index)
+    at = 0
+    for block in serialize_blocks(parse_index(data)):
+        encoded = block.encode("utf-8")
+        if not data.startswith(encoded, at):
+            break
+        at += len(encoded)
+    else:
+        if at == len(data):
+            return ExitCode.OK
+    print(f"{args.index}: not in canonical form", file=sys.stderr)
+    return ExitCode.VALIDATION
 
 
 def _cmd_scaffold(args: argparse.Namespace) -> ExitCode:
     from . import scaffold
 
-    rules = scaffold.parse_rules_file(_read_text(args.rules))
+    try:
+        text = _read_text(args.rules)
+    except AociError as exc:  # undecodable: a configuration error, as a bad rule is
+        raise ConfigError(str(exc)) from None
+    rules = scaffold.parse_rules_file(text)
     result = scaffold.scaffold_repo(args.root, rules)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -402,8 +444,9 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
             except FileNotFoundError:
                 pass
             else:
+                # The store is a file, also when it is named "-".
                 store = incremental.StalenessStore.load(
-                    Path(args.store).read_text(encoding="utf-8"), store_mtime_ns
+                    _decode_text(args.store, Path(args.store).read_bytes()), store_mtime_ns
                 )
             store.started_ns = started_ns
         file_digests: dict[str, str] = {}
@@ -435,7 +478,7 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
         drafts: dict[str, CodeEntry] = {}
         if args.drafts:
             for entry_file in sorted(Path(args.drafts).glob("*.entry.txt")):
-                line = entry_file.read_text(encoding="utf-8").strip()
+                line = _read_text(str(entry_file)).strip()
                 if not line:
                     continue
                 try:
@@ -465,16 +508,12 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
 def _cmd_ablate(args: argparse.Namespace) -> ExitCode:
     index = _load_index(args.index)
     if args.variant == NL_REWRITE_VARIANT:
-        sys.stdout.write(
-            "INDEX\n"
-            + serialize_index(index)
-            + "\nINSTRUCTIONS\n"
-            + NL_REWRITE_INSTRUCTIONS
-            + "\n"
-        )
+        sys.stdout.write("INDEX\n")
+        _write_blocks(serialize_blocks(index))
+        sys.stdout.write("\nINSTRUCTIONS\n" + NL_REWRITE_INSTRUCTIONS + "\n")
         return ExitCode.OK
     variant = AblationVariant(args.variant)
-    sys.stdout.write(serialize_index(apply_ablation(index, variant, args.tables)))
+    _write_blocks(serialize_blocks(apply_ablation(index, variant, args.tables)))
     return ExitCode.OK
 
 

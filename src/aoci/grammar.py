@@ -37,6 +37,14 @@ collects each raised error in one place, so one bad line costs only itself.
 ``parse_index_report`` returns them all. Errors carry the line and column;
 the parse keeps no other position data.
 
+``parse_index`` and ``parse_index_report`` split the decoded input into
+lines, then release the caller's bytes (unless the caller keeps them too)
+and the decoded text before the body phase. The body phase drops each line
+once it has read it, so the lines shrink as the index grows. The canonical
+text comes from one generator, ``serialize_blocks``, in blocks of about a
+thousand lines; ``serialize_index`` joins them, and a caller that writes or
+measures the text takes them one at a time.
+
 Each line is checked once. ``decode_tag`` considers every split of a tag in
 one pass and returns the one its preference order picks, or raises
 ``AmbiguousTag``. It memoises on the dictionary, so a parse decodes each
@@ -50,7 +58,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from itertools import chain, islice
+from typing import Iterator, NamedTuple
 
 from .errors import (
     AmbiguousTag,
@@ -312,18 +321,35 @@ def _dim_line(directive: str, name: str, mapping: dict[str, str]) -> str:
     return f"{directive} {name} {body}"
 
 
+# Lines per block of ``serialize_blocks``: a write per block costs little,
+# and a block is small beside the index it comes from.
+_BLOCK_LINES = 1000
+
+
+def serialize_blocks(index: Index) -> Iterator[str]:
+    """The canonical text of ``index`` in blocks of about a thousand lines.
+
+    Each block ends with a line break, and the blocks concatenate to
+    ``serialize_index(index)``, so a caller can write or measure the text
+    without holding all of it.
+    """
+    lines = chain(
+        (serialize_header(index.header), "@CODE"),
+        map(serialize_code_entry, index.code_entries),
+        ("@TABLES",) if index.table_entries else (),
+        map(serialize_table_entry, index.table_entries),
+    )
+    while block := list(islice(lines, _BLOCK_LINES)):
+        yield "\n".join(block) + "\n"
+
+
 def serialize_index(index: Index) -> str:
     """Emit the canonical textual form of ``index``.
 
     ``parse_index(serialize_index(i))`` equals ``i``, and a serialize, parse,
     serialize cycle is byte-identical.
     """
-    lines = [serialize_header(index.header), "@CODE"]
-    lines.extend(serialize_code_entry(entry) for entry in index.code_entries)
-    if index.table_entries:
-        lines.append("@TABLES")
-        lines.extend(serialize_table_entry(table) for table in index.table_entries)
-    return "\n".join(lines) + "\n"
+    return "".join(serialize_blocks(index))
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +441,14 @@ def parse_index(text: str | bytes) -> Index:
     Raises:
         ParseError: located description of the first failure.
     """
-    report = parse_index_report(text)
-    if report.errors:
-        raise report.errors[0]
-    assert report.index is not None
-    return report.index
+    errors: list[ParseError] = []
+    lines = _decode_input(text, errors).split("\n")
+    del text  # as in parse_index_report
+    index = _parse_lines(lines, errors)
+    if errors:
+        raise errors[0]
+    assert index is not None
+    return index
 
 
 def parse_index_report(text: str | bytes) -> ParseReport:
@@ -430,8 +459,13 @@ def parse_index_report(text: str | bytes) -> ParseReport:
     goes on; the index is ``None`` only when the document has no marker.
     """
     errors: list[ParseError] = []
-    index = _parse_document(_decode_input(text, errors), errors)
-    return ParseReport(index, errors)
+    lines = _decode_input(text, errors).split("\n")
+    # In CPython a parameter keeps its argument alive until it is rebound or
+    # deleted. Deleting it frees the caller's bytes before the entries are
+    # built, unless the caller holds them too; the decoded str is already
+    # gone, so only the lines remain.
+    del text
+    return ParseReport(_parse_lines(lines, errors), errors)
 
 
 def parse_header(text: str | bytes) -> Header:
@@ -453,25 +487,44 @@ def parse_header(text: str | bytes) -> Header:
     return header
 
 
+def decode_utf8(data: bytes) -> str:
+    """Decode an input file's bytes by the rule every input follows: UTF-8.
+
+    Raises:
+        ParseError: kind ``ENCODING``, located at the first byte that is not
+            UTF-8.
+    """
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        error = _encoding_error(data, exc)
+    # Raised outside the handler, so it does not chain the UnicodeDecodeError,
+    # which holds the whole input.
+    raise error
+
+
+def _encoding_error(data: bytes, exc: UnicodeDecodeError) -> ParseError:
+    line_start = data.rfind(b"\n", 0, exc.start) + 1
+    return ParseError(
+        data.count(b"\n", 0, exc.start) + 1,
+        exc.start - line_start + 1,
+        ParseErrorKind.ENCODING,
+        f"invalid UTF-8 at byte {exc.start}",
+    )
+
+
 def _decode_input(text: str | bytes, errors: list[ParseError]) -> str:
     if isinstance(text, str):
         return text.removeprefix("﻿")
     try:
         return text.decode("utf-8").removeprefix("﻿")
     except UnicodeDecodeError as exc:
-        prefix = text[: exc.start]
-        line_no = prefix.count(b"\n") + 1
-        column = exc.start - (prefix.rfind(b"\n") + 1) + 1
-        errors.append(
-            ParseError(
-                line_no, column, ParseErrorKind.ENCODING, f"invalid UTF-8 at byte {exc.start}"
-            )
-        )
+        errors.append(_encoding_error(text, exc))
         return text.decode("utf-8", errors="replace")
 
 
-def _parse_document(text: str, errors: list[ParseError]) -> Index | None:
-    lines = text.split("\n")
+def _parse_lines(lines: list[str], errors: list[ParseError]) -> Index | None:
+    """The index of a document's lines; the body's lines are emptied."""
     header, at = _read_header(lines, errors)
     if header is None:
         return None
@@ -479,8 +532,11 @@ def _parse_document(text: str, errors: list[ParseError]) -> Index | None:
     entries: dict[str, CodeEntry] = {}
     tables: dict[str, TableEntry] = {}
     in_tables = lines[at].strip() == "@TABLES"
-    for line_no, raw_line in enumerate(lines[at + 1 :], start=at + 2):
-        line = raw_line.strip()
+    for i in range(at + 1, len(lines)):
+        # Each line is dropped once read, so the lines shrink as the index
+        # grows: a parse holds about one copy of the document, not two.
+        line, lines[i] = lines[i].strip(), ""
+        line_no = i + 1
         if not line:
             continue
         try:

@@ -25,9 +25,18 @@ class TokenEstimator(Enum):
     WORDS13 = "words13"
 
     def estimate(self, text: str) -> int:
+        return self.total((text,))
+
+    def total(self, blocks: Iterable[str]) -> int:
+        """The estimate for the concatenation of ``blocks``.
+
+        Every block but the last must end with whitespace, such as the line
+        breaks ``serialize_blocks`` ends its blocks with: then no word spans
+        two blocks, so characters and words both add up over the blocks.
+        """
         if self is TokenEstimator.CHARS4:
-            return math.ceil(len(text) / 4)
-        return math.ceil(len(text.split()) * 4 / 3)
+            return math.ceil(sum(map(len, blocks)) / 4)
+        return math.ceil(sum(len(block.split()) for block in blocks) * 4 / 3)
 
 
 DEFAULT_ESTIMATOR = TokenEstimator.CHARS4
@@ -108,7 +117,7 @@ def index_stats(
     estimator: TokenEstimator = DEFAULT_ESTIMATOR,
 ) -> IndexStats:
     """Compute :class:`IndexStats`; the compression ratio needs ``repo_loc``."""
-    from .grammar import serialize_index, serialize_semantic_elements
+    from .grammar import serialize_blocks, serialize_semantic_elements
     from .validator import budget_for
 
     per_layer: Counter[str] = Counter()
@@ -148,7 +157,7 @@ def index_stats(
         else:
             within += 1
 
-    total_tokens = estimator.estimate(serialize_index(index))
+    total_tokens = estimator.total(serialize_blocks(index))
     ratio = None
     if repo_loc is not None and repo_loc > 0:
         ratio = total_tokens / repo_loc

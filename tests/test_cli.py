@@ -2,21 +2,37 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
 import os
+import random
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FIXTURES
+from conftest import FIXTURES, make_index
+from aoci import grammar
 from aoci.cli import run
 from aoci.grammar import (
+    ParseError,
     ParseErrorKind,
     parse_index,
     parse_index_report,
+    serialize_blocks,
     serialize_code_entry,
+    serialize_header,
     serialize_index,
+    serialize_table_entry,
 )
 from aoci.incremental import StalenessStore, content_digest, entry_digest
+from aoci.metrics import TokenEstimator
 
 GOLDEN = FIXTURES / "listing1.aoci"
 
@@ -239,6 +255,12 @@ def test_stats_table_and_records(tmp_path, capsys):
     assert data["total_code_entries"] == 7
 
 
+@pytest.mark.parametrize("loc", ["١٠٠", "1_000", "0", "-5"])
+def test_stats_loc_takes_only_a_positive_ascii_integer(loc, capsys):
+    assert run(["stats", str(GOLDEN), "--loc", loc]) == 2
+    assert f"--loc: expected a positive integer, got {loc!r}" in capsys.readouterr().err
+
+
 def test_stats_estimator_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("AOCI_ESTIMATOR", "words13")
     assert run(["stats", str(GOLDEN)]) == 0
@@ -424,6 +446,53 @@ def test_update_cli_names_the_draft_file_that_fails_to_parse(
     assert store.read_bytes() == store_before
 
 
+# One byte that is not UTF-8, at line 2, column 2.
+_UNDECODABLE = b"ok.go\nz\xff.go\n"
+
+
+@pytest.mark.parametrize(
+    "case", ["changes", "rules", "files", "files-stdin", "pred", "truth", "draft", "store"]
+)
+def test_an_undecodable_side_input_is_a_located_error(
+    case, tmp_path, golden_copy, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    changes = tmp_path / "changes.txt"
+    changes.write_text("M\tauth.go\n", encoding="utf-8")
+    store = tmp_path / "s.tsv"
+    update = ["update", str(golden_copy), "--changes", str(changes), "--store", str(store)]
+    assert run(update) == 0
+    drafts = tmp_path / "drafts"
+    drafts.mkdir()
+    good = tmp_path / "good.txt"
+    good.write_text("a.go\n", encoding="utf-8")
+    bad = {"draft": drafts / "auth.go.entry.txt", "store": store}.get(case, tmp_path / "bad.txt")
+    bad.write_bytes(_UNDECODABLE)
+    index, name = str(golden_copy), str(bad)
+    argv, code = {
+        "changes": (["update", index, "--changes", name, "--store", str(store)], 1),
+        "rules": (["scaffold", str(tmp_path), "--rules", name], 2),
+        "files": (["check", index, "--files", name], 1),
+        "files-stdin": (["check", index, "--files", "-"], 1),
+        "pred": (["score", "what", "--pred", name, "--truth", str(good)], 1),
+        "truth": (["score", "what", "--pred", str(good), "--truth", name], 1),
+        "draft": (update + ["--drafts", str(drafts)], 1),
+        "store": (update, 1),
+    }[case]
+    if case == "files-stdin":
+        stdin = io.TextIOWrapper(io.BytesIO(_UNDECODABLE), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        name = "-"
+    capsys.readouterr()
+    index_before, store_before = golden_copy.read_bytes(), store.read_bytes()
+    assert run(argv) == code
+    assert capsys.readouterr().err == (
+        f"error: {name}: line 2, column 2: invalid UTF-8 at byte 7\n"
+    )
+    assert golden_copy.read_bytes() == index_before
+    assert store.read_bytes() == store_before
+
+
 def test_update_cli_pending_without_draft(tmp_path, golden_copy, capsys):
     changes = tmp_path / "changes.txt"
     changes.write_text("M\tauth.go\n", encoding="utf-8")
@@ -491,7 +560,8 @@ def test_update_cli_usage_errors(golden_copy, tmp_path):
 def test_update_cli_changes_from_stdin(tmp_path, golden_copy, monkeypatch, capsys):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO("D\tconfig.yaml\n"))
+    stdin = io.TextIOWrapper(io.BytesIO(b"D\tconfig.yaml\n"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
     assert run(["update", str(golden_copy), "--changes", "-"]) == 0
     updated = parse_index(golden_copy.read_bytes())
     assert "config.yaml" not in updated.code_paths()
@@ -724,7 +794,8 @@ def test_update_cli_holds_the_lock_from_reading_to_the_store_write(
     read_bytes, replace_file = cli._read_bytes, cli._replace_file
 
     def probing_read(path):
-        probe("index read")
+        if path == str(golden_copy):
+            probe("index read")
         return read_bytes(path)
 
     def probing_write(path, *args, **kwargs):
@@ -904,3 +975,70 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert failed.returncode == 1
     assert "E2" in failed.stdout
+
+
+def _reference_serialize(index) -> str:
+    """The canonical text built whole, as ``serialize_index`` built it before
+    it joined ``serialize_blocks``."""
+    lines = [serialize_header(index.header), "@CODE"]
+    lines.extend(serialize_code_entry(entry) for entry in index.code_entries)
+    if index.table_entries:
+        lines.append("@TABLES")
+        lines.extend(serialize_table_entry(table) for table in index.table_entries)
+    return "\n".join(lines) + "\n"
+
+
+def _old_fmt_verify_code(data: bytes) -> int:
+    """The exit code of ``fmt --verify`` when it compared the whole text."""
+    try:
+        canonical = _reference_serialize(parse_index(data))
+    except ParseError:
+        return 1
+    return 0 if canonical.encode("utf-8") == data else 1
+
+
+def _change_one_byte(data: bytes, rng: random.Random) -> bytes:
+    at = rng.randrange(len(data))
+    byte = rng.choice([b for b in b" x|:[]\n\t\xff" if b != data[at]])
+    return data[:at] + bytes([byte]) + data[at + 1 :]
+
+
+_MUTATIONS = {
+    "canonical": lambda data, rng: data,
+    "bom": lambda data, rng: b"\xef\xbb\xbf" + data,
+    "crlf": lambda data, rng: data.replace(b"\n", b"\r\n"),
+    "trailing blank line": lambda data, rng: data + b"\n",
+    "no final newline": lambda data, rng: data[:-1],
+    "one changed byte": _change_one_byte,
+}
+
+
+def _quiet_run(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return run(argv)
+
+
+@given(st.integers(0, 2**32), st.integers(1, 5), st.sampled_from(sorted(_MUTATIONS)))
+@settings(max_examples=100, deadline=None)
+def test_streaming_changes_no_bytes(seed, block_lines, mutation):
+    rng = random.Random(seed)
+    index = make_index(rng, rng.randint(0, 12), tables=rng.randint(0, 3))
+    text = _reference_serialize(index)
+    with mock.patch.object(grammar, "_BLOCK_LINES", block_lines):
+        blocks = list(serialize_blocks(index))
+        assert all(block.endswith("\n") for block in blocks)
+        assert "".join(blocks) == serialize_index(index) == text
+        assert TokenEstimator.CHARS4.estimate(text) == math.ceil(len(text) / 4)
+        assert TokenEstimator.WORDS13.estimate(text) == math.ceil(len(text.split()) * 4 / 3)
+        for estimator in TokenEstimator:
+            assert estimator.total(serialize_blocks(index)) == estimator.estimate(text)
+
+        data = _MUTATIONS[mutation](text.encode("utf-8"), rng)
+        want = _old_fmt_verify_code(data)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "index.aoci"
+            path.write_bytes(data)
+            assert _quiet_run(["fmt", str(path), "--verify"]) == want
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        with mock.patch.object(sys, "stdin", stdin):
+            assert _quiet_run(["fmt", "-", "--verify"]) == want
