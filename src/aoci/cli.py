@@ -206,11 +206,12 @@ def _read_bytes(path: str) -> bytes:
     return Path(path).read_bytes()
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write the concatenation of ``chunks`` to ``path``, or to stdout."""
     if path == "-":
-        sys.stdout.write(text)
+        _write_blocks(chunks)
     else:
-        _replace_file(path, [text])
+        _replace_file(path, chunks)
 
 
 def _replace_file(path: str, chunks: Iterable[str]) -> None:
@@ -319,7 +320,7 @@ def _cmd_check(args: argparse.Namespace) -> ExitCode:
     diagnostics += findings
     if args.report:
         records = [diagnostic.record() for diagnostic in diagnostics]
-        _write_text(args.report, json.dumps(records, indent=2) + "\n")
+        _write_text(args.report, [json.dumps(records, indent=2) + "\n"])
     if args.files and index is not None:
         file_list = [line for line in _read_text(args.files).splitlines() if line.strip()]
         coverage = check_coverage(index, file_list)
@@ -366,7 +367,7 @@ def _cmd_scaffold(args: argparse.Namespace) -> ExitCode:
     result = scaffold.scaffold_repo(args.root, rules)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    _write_text(args.out or "-", serialize_index(result.index))
+    _write_text(args.out or "-", [serialize_index(result.index)])
     if args.prompts:
         out_dir = Path(args.prompts)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -417,11 +418,15 @@ def _update_input(path: str, known_digest: str) -> IndexLines:
 
     data = _read_bytes(path)
     if known_digest and known_digest == incremental.content_digest(data):
-        return scan_index(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        del data  # the bytes go before the scan builds its rows
+        return scan_index(text)
     return scan_index(serialize_index(parse_index(data)))
 
 
 def _cmd_update(args: argparse.Namespace) -> ExitCode:
+    import hashlib
+
     from . import incremental
 
     if args.detect and not args.store:
@@ -456,8 +461,11 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
             digests = incremental.collect_file_digests(
                 root, exclude_globs=_own_files(args, root), store=store
             )
-            file_digests = dict(digests)
+            # Only the files read can be regenerated: a file the store
+            # vouched for (digest None) matches its row, so it is not reported.
+            file_digests = {path: digest for path, digest in digests if digest is not None}
             changes = incremental.detect_stale(store, digests, index)
+            del digests
         else:
             changes = incremental.parse_changeset(_read_text(args.changes))
             if args.store:
@@ -471,9 +479,13 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
                     for path in (record.path, record.new_path)
                     if path
                 ]
-                file_digests = dict(
-                    incremental.collect_file_digests(os.getcwd(), touched, store=store)
-                )
+                # A listed file the store vouched for keeps its recorded digest.
+                file_digests = {
+                    path: digest or store.get(path)[0]
+                    for path, digest in incremental.collect_file_digests(
+                        os.getcwd(), touched, store=store
+                    )
+                }
 
         drafts: dict[str, CodeEntry] = {}
         if args.drafts:
@@ -491,8 +503,15 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
         for warning in plan.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         updated = incremental.apply_lines(index, plan, drafts)
-        out = updated.text()
-        _write_text(args.index, out)
+        # The index text is written and hashed a block at a time, never whole.
+        index_hash = hashlib.sha256()
+
+        def hashed(blocks: Iterable[str]) -> Iterator[str]:
+            for block in blocks:
+                index_hash.update(block.encode("utf-8"))
+                yield block
+
+        _write_text(args.index, hashed(updated.blocks()))
         pending = [path for path in plan.regenerate if path not in drafts]
         for path in pending:
             print(f"pending regeneration (no draft supplied): {path}", file=sys.stderr)
@@ -500,7 +519,7 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
             print(f"warning: dangling reference after update: {host} -> {ref}", file=sys.stderr)
         if args.store:
             incremental.commit_plan(store, plan, updated, file_digests, drafts.keys())
-            store.index_digest = incremental.content_digest(out.encode("utf-8"))
+            store.index_digest = index_hash.hexdigest()
             _replace_file(args.store, store.lines())
     return ExitCode.OK
 
@@ -521,7 +540,7 @@ def _cmd_stats(args: argparse.Namespace) -> ExitCode:
     stats = index_stats(_load_index(args.index), args.loc, _estimator())
     print(stats_table(stats))
     if args.records:
-        _write_text(args.records, json.dumps(stats_records(stats), indent=2) + "\n")
+        _write_text(args.records, [json.dumps(stats_records(stats), indent=2) + "\n"])
     return ExitCode.OK
 
 

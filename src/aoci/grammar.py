@@ -396,10 +396,20 @@ class IndexLines:
             _NAME_RE.match(line).group() for line in self.tail.split("\n")[1:-1]
         )
 
+    def blocks(self) -> Iterator[str]:
+        """The index text in blocks: the head, the code lines about a
+        thousand at a time, then the tail. Unchanged rows come out byte for
+        byte, and the blocks concatenate to ``text()``."""
+        yield self.head
+        rows = self.code_entries
+        for at in range(0, len(rows), _BLOCK_LINES):
+            yield "\n".join(row.line for row in rows[at : at + _BLOCK_LINES]) + "\n"
+        if self.tail:
+            yield self.tail
+
     def text(self) -> str:
         """The index text: unchanged rows come out byte for byte."""
-        lines = [row.line for row in self.code_entries]
-        return self.head + ("\n".join(lines) + "\n" if lines else "") + self.tail
+        return "".join(self.blocks())
 
 
 def scan_index(text: str) -> IndexLines:

@@ -42,6 +42,14 @@ An update is one pass of each step: ``plan_update`` walks the entries once,
 recording rename rewrites and the references left dangling;
 ``apply_lines`` is the only applier (``apply_update`` runs it over an
 ``Index``'s canonical text); ``commit_plan`` brings the store in line.
+
+A warm update holds each piece of its state once. The store keeps every row
+as the text it was read as and splits a row only when it is read or
+changed, so untouched rows are written back byte for byte. A file the store
+vouches for by its stat is not read, and ``collect_file_digests`` gives it
+no digest, not even a copy of the recorded one. ``aoci update`` writes the
+new index a block at a time (``IndexLines.blocks``) and hashes each block
+as it goes, so the whole text is never built to be written or digested.
 """
 
 from __future__ import annotations
@@ -222,9 +230,10 @@ def plan_update(index: Index | IndexLines, changes: ChangeSet) -> UpdatePlan:
     remove_set = set(remove)
     regen_set = set(regenerate)
     renamed_refs = _rename_lookup(rename_map)
-    final_paths = (entry_paths - remove_set - set(rename_map)) | set(
-        rename_map.values()
-    ) | regen_set
+    final_paths = entry_paths.difference(remove_set, rename_map).union(
+        rename_map.values(), regen_set
+    )
+    del entry_paths  # not held beside the resolver's sets
     resolver = RefResolver(final_paths)
     table_names = index.table_names()
     rewrites: list[tuple[str, str, str]] = []
@@ -289,18 +298,25 @@ class StalenessStore:
 
     The line format is ``path\\t<hex>\\t<hex>[\\t<stat>]``; either digest may
     be empty, and an empty content digest means the entry awaits
-    regeneration. ``stats`` maps a path to the ``stat_key`` its file had
-    when the bytes behind its content digest were read (the optional 4th
-    field). ``mtime_ns`` is the store file's own mtime at load; a recorded
-    stat is trusted only while its mtime is strictly older (the racy rule),
-    and a store not loaded from a file trusts none. ``started_ns`` is the
+    regeneration. The stat is the ``stat_key`` the file had when the bytes
+    behind its content digest were read (the optional 4th field). Each row
+    is kept as the text it was read as, ``content\\tentry[\\tstat]`` under
+    its canonical path, and split only when it is read or changed, so
+    ``lines`` writes an untouched row back byte for byte. ``load`` brings a
+    row to the form ``lines`` writes: line breaks, path spelling, an empty
+    stat field and a repeated path. Every method takes a path in any
+    spelling ``canonical_path`` accepts.
+
+    ``mtime_ns`` is the store file's own mtime at load; a recorded stat is
+    trusted only while its mtime is strictly older (the racy rule), and a
+    store not loaded from a file trusts none. ``started_ns`` is the
     file-system clock's time when this run began: ``observe`` records a
     stat only when its mtime is strictly older, so a stat that was racy when
     it was taken never enters the store, and a later write with a newer
     mtime cannot make it trusted. It is 0, recording no stat, until the
-    caller sets it. ``index_digest`` is the
-    digest of the index bytes the last update wrote, kept on a line with an
-    empty path; empty when unknown.
+    caller sets it. ``index_digest`` is the digest of the index bytes the
+    last update wrote, kept on a line with an empty path; empty when
+    unknown.
     """
 
     def __init__(
@@ -310,9 +326,13 @@ class StalenessStore:
         stats: Mapping[str, str] | None = None,
         mtime_ns: int = 0,
     ):
-        self.records: dict[str, tuple[str, str]] = dict(records or {})
+        stats = stats or {}
+        # canonical path -> "content\tentry[\tstat]"
+        self._rows: dict[str, str] = {
+            canonical_path(path): _row(content, entry, stats.get(path, ""))
+            for path, (content, entry) in (records or {}).items()
+        }
         self.index_digest = index_digest
-        self.stats: dict[str, str] = dict(stats or {})
         self.mtime_ns = mtime_ns
         self.started_ns = 0
         # path -> (content digest, stat key or "") of each file read in this run.
@@ -320,20 +340,20 @@ class StalenessStore:
 
     @classmethod
     def load(cls, text: str, mtime_ns: int = 0) -> StalenessStore:
-        """Parse store text; ``mtime_ns`` is the store file's mtime."""
-        records: dict[str, tuple[str, str]] = {}
-        stats: dict[str, str] = {}
-        index_digest = ""
-        for line_no, line in enumerate(text.split("\n"), start=1):
+        """Parse store text; ``mtime_ns`` is the store file's mtime.
+
+        A line is read as the text after its path; only a line that is not
+        in the written form is rebuilt. A repeated path takes the later
+        digests, and keeps the earlier stat when the later line has none.
+        """
+        store = cls(mtime_ns=mtime_ns)
+        rows = store._rows
+        for line_no, line in enumerate(_lines(text), start=1):
             if not line.strip():
                 continue
-            fields = line.rstrip("\r").split("\t")
-            if len(fields) == 4:
-                path, content, entry, stat = fields
-            elif len(fields) == 3:
-                path, content, entry = fields
-                stat = ""
-            else:
+            path, _, row = line.rstrip("\r").partition("\t")
+            tabs = row.count("\t")
+            if tabs not in (1, 2):
                 raise ParseError(
                     line_no,
                     1,
@@ -341,26 +361,23 @@ class StalenessStore:
                     "store line must be path<TAB>digest<TAB>digest[<TAB>stat]",
                 )
             if not path:
-                index_digest = content
+                store.index_digest = row.partition("\t")[0]
                 continue
             path = canonical_path(path)
-            records[path] = (content, entry)
-            if stat:
-                stats[path] = stat
-        return cls(records, index_digest, stats, mtime_ns)
+            if tabs == 2 and row.endswith("\t"):  # an empty stat field
+                row, tabs = row[:-1], 1
+            if tabs == 1 and path in rows:
+                row = _row(*row.split("\t"), _stat(rows[path]))
+            rows[path] = row
+        return store
 
     def lines(self) -> Iterator[str]:
         """The store text, one newline-terminated line at a time, sorted."""
         if self.index_digest:
             yield f"\t{self.index_digest}\t\n"
-        records, stats = self.records, self.stats
-        for path in sorted(records):
-            content, entry = records[path]
-            stat = stats.get(path)
-            if stat:
-                yield f"{path}\t{content}\t{entry}\t{stat}\n"
-            else:
-                yield f"{path}\t{content}\t{entry}\n"
+        rows = self._rows
+        for path in sorted(rows):
+            yield f"{path}\t{rows[path]}\n"
 
     def dump(self) -> str:
         return "".join(self.lines())
@@ -369,43 +386,42 @@ class StalenessStore:
         """Record a row; it keeps a stat only when this run read ``content``
         from the file (see ``observe``)."""
         path = canonical_path(path)
-        self.records[path] = (content, entry)
         observed = self._observed.get(path)
-        if content and observed is not None and observed[0] == content and observed[1]:
-            self.stats[path] = observed[1]
-        else:
-            self.stats.pop(path, None)
+        keep = content and observed is not None and observed[0] == content
+        self._rows[path] = _row(content, entry, observed[1] if keep else "")
 
     def get(self, path: str) -> tuple[str, str] | None:
-        return self.records.get(path)
+        row = self._rows.get(canonical_path(path))
+        if row is None:
+            return None
+        content, entry = row.split("\t")[:2]
+        return content, entry
 
     def discard(self, path: str) -> None:
-        self.records.pop(path, None)
-        self.stats.pop(path, None)
+        self._rows.pop(canonical_path(path), None)
 
     def mark_pending(self, path: str) -> None:
         """Flag a path so staleness detection keeps reporting it modified."""
-        _, entry = self.records.get(path, ("", ""))
         path = canonical_path(path)
-        self.records[path] = ("", entry)
-        self.stats.pop(path, None)
+        entry = self._rows.get(path, "\t").split("\t")[1]
+        self._rows[path] = _row("", entry, "")
 
     def paths(self) -> frozenset[str]:
-        return frozenset(self.records)
+        return frozenset(self._rows)
 
     def unchanged(self, path: str, st: os.stat_result) -> bool:
         """Whether the file at ``path``, stat'ed as ``st``, still holds the
         bytes of its recorded content digest.
 
         True only when the recorded stat equals ``st``, its mtime is strictly
-        older than the store file's, and the digest is not pending.
+        older than the store file's, and the row is not pending.
         """
-        stat = self.stats.get(path)
+        row = self._rows.get(canonical_path(path))
         return (
-            stat is not None
+            row is not None
             and st.st_mtime_ns < self.mtime_ns
-            and stat == stat_key(st)
-            and self.records[path][0] != ""
+            and not row.startswith("\t")
+            and _stat(row) == stat_key(st)
         )
 
     def observe(self, path: str, digest: str, st: os.stat_result) -> None:
@@ -417,19 +433,40 @@ class StalenessStore:
         stat whose mtime is not strictly older than ``started_ns`` is racy:
         the row keeps no stat, and the file is read again next time.
         """
+        path = canonical_path(path)
         stat = stat_key(st) if st.st_mtime_ns < self.started_ns else ""
         self._observed[path] = (digest, stat)
-        known = self.records.get(path)
-        if known is not None and known[0] == digest:
-            if stat:
-                self.stats[path] = stat
-            else:
-                self.stats.pop(path, None)
+        row = self._rows.get(path)
+        if row is not None and row.partition("\t")[0] == digest:
+            self._rows[path] = _row(*row.split("\t")[:2], stat)
+
+
+def _row(content: str, entry: str, stat: str) -> str:
+    """A store row after its path: the stat field only when there is one."""
+    return f"{content}\t{entry}\t{stat}" if stat else f"{content}\t{entry}"
+
+
+def _stat(row: str) -> str:
+    """The stat field of a store row, empty when it has none."""
+    fields = row.split("\t")
+    return fields[2] if len(fields) == 3 else ""
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The ``\\n``-separated lines of ``text``, one at a time, so the whole
+    list of lines is never held beside the rows built from it."""
+    start, size = 0, len(text)
+    while start <= size:
+        end = text.find("\n", start)
+        if end < 0:
+            end = size
+        yield text[start:end]
+        start = end + 1
 
 
 def detect_stale(
     store: StalenessStore,
-    files: Iterable[tuple[str, str]],
+    files: Iterable[tuple[str, str | None]],
     index: Index | IndexLines,
 ) -> ChangeSet:
     """Synthesize a change set by comparing file digests against the store.
@@ -437,14 +474,18 @@ def detect_stale(
     Digest mismatches become Modified, files the store has never seen become
     Added (or Modified when the index already carries an entry, which says
     the store is stale rather than the file new), and store records without
-    a file become Deleted.
+    a file become Deleted. A file whose digest is None is one the store
+    vouched for (see ``collect_file_digests``), so it is not compared.
     """
-    seen: dict[str, str] = {}
+    seen: dict[str, str | None] = {}
     for path, digest in files:
         seen[canonical_path(path)] = digest
     entry_paths = index.code_paths()
     records: list[ChangeRecord] = []
-    for path, digest in sorted(seen.items()):
+    for path in sorted(seen):
+        digest = seen[path]
+        if digest is None:
+            continue
         known = store.get(path)
         if known is None:
             status = ChangeStatus.MODIFIED if path in entry_paths else ChangeStatus.ADDED
@@ -568,12 +609,14 @@ def commit_plan(
 ) -> None:
     """Bring the store in line with an applied plan.
 
-    ``file_digests`` supplies content digests where known; regenerated paths
-    without a draft stay pending. The entry digest of a renamed or drafted
-    path is the digest of its line in ``updated``, which is ``entry_digest``
-    of the entry the line holds.
+    ``file_digests`` supplies content digests where known; only regenerated
+    and renamed paths are looked up in it. Regenerated paths without a draft
+    stay pending. The entry digest of a renamed or drafted path is the
+    digest of its line in ``updated``, which is ``entry_digest`` of the
+    entry the line holds.
     """
-    lines = {row.path: row.line for row in updated.code_entries}
+    wanted = set(plan.regenerate).union(plan.rename_map.values())
+    lines = {row.path: row.line for row in updated.code_entries if row.path in wanted}
     drafted = set(drafted)
     for path in plan.remove:
         store.discard(path)
@@ -597,23 +640,25 @@ def collect_file_digests(
     include_globs: Iterable[str] = ("*",),
     exclude_globs: Iterable[str] = (),
     store: StalenessStore | None = None,
-) -> list[tuple[str, str]]:
+) -> list[tuple[str, str | None]]:
     """Digest every file ``tree.walk_files`` lists, for ``update``.
 
     The walk is the one ``scaffold_repo`` drafts from, so detection sees the
     same files; ``update --changes`` passes the listed paths, escaped, as
     include globs. One ``(path, digest)`` pair comes out per walked file, in
     walk order. With a ``store``, a file ``tree.stat_read`` finds
-    ``store.unchanged`` keeps its recorded digest unread; every other file
-    is read once, from the filesystem path the walk found, and its digest
-    and stat go to ``store.observe``. Unreadable files are skipped with a
-    logged warning; a root that is not a directory raises OSError.
+    ``store.unchanged`` is not read, and its digest is None: the store
+    vouches that the file still holds the bytes of its recorded digest, and
+    no copy of that digest is made. Every other file is read once, from the
+    filesystem path the walk found, and its digest and stat go to
+    ``store.observe``. Unreadable files are skipped with a logged warning; a
+    root that is not a directory raises OSError.
     """
     unchanged = None if store is None else store.unchanged
-    out: list[tuple[str, str]] = []
+    out: list[tuple[str, str | None]] = []
     for path, _, st, data in stat_read(walk_files(root, include_globs, exclude_globs), unchanged):
         if data is None:  # only with a store, which vouched for its digest
-            out.append((path, store.records[path][0]))
+            out.append((path, None))
             continue
         digest = content_digest(data)
         out.append((path, digest))

@@ -28,14 +28,34 @@ from typing import Callable, Iterable, Iterator
 from .model import canonical_path
 
 
+# A glob that matches one string only: plain characters and the one-character
+# classes ``glob.escape`` writes for ``*``, ``?`` and ``[``.
+_LITERAL_GLOB = re.compile(r"(?:[^*?[]|\[[*?[]\])*")
+_ESCAPED = re.compile(r"\[([*?[])\]")
+
+
 def any_glob(globs: Iterable[str]) -> Callable[[str], object]:
-    """One compiled matcher for "the path matches any of ``globs``".
+    """One matcher for "the path matches any of ``globs``".
 
     Equivalent to ``any(fnmatchcase(path, glob) for glob in globs)``, which
-    is false for no globs; ``fnmatch.translate`` output is made to be joined
-    with ``|``.
+    is false for no globs. A glob that can match only one string, such as a
+    ``glob.escape``d path, is looked up in a set; the rest are joined into
+    one regular expression (``fnmatch.translate`` output is made to be
+    joined with ``|``).
     """
-    return re.compile("|".join(translate(glob) for glob in globs) or "(?!)").match
+    literals: set[str] = set()
+    patterns: list[str] = []
+    for glob in globs:
+        if _LITERAL_GLOB.fullmatch(glob):
+            literals.add(_ESCAPED.sub(r"\1", glob))
+        else:
+            patterns.append(translate(glob))
+    if not patterns:
+        return literals.__contains__
+    match = re.compile("|".join(patterns)).match
+    if not literals:
+        return match
+    return lambda path: path in literals or match(path)
 
 
 def _walk(root: str, enter: Callable[[str], bool]) -> Iterator[tuple[str, str]]:

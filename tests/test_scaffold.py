@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import random
 from fnmatch import fnmatchcase
+from glob import escape as glob_escape
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +185,37 @@ def test_any_glob_matches_fnmatchcase(globs, names):
     matches = any_glob(globs)
     for name in names:
         assert bool(matches(name)) == any(fnmatchcase(name, glob) for glob in globs)
+
+
+path_st = st.text(alphabet="ab/.*?[]!-", max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(path_st, max_size=3), st.lists(glob_st, max_size=2), st.lists(path_st, max_size=4))
+def test_any_glob_matches_escaped_paths_as_fnmatchcase_does(paths, globs, others):
+    # Escaped paths, as update --changes passes them, are looked up in a set;
+    # their '[', '*' and '?' come out as one-character classes.
+    globs = [glob_escape(path) for path in paths] + globs
+    matches = any_glob(globs)
+    for name in paths + others:
+        assert bool(matches(name)) == any(fnmatchcase(name, glob) for glob in globs)
+
+
+@pytest.mark.parametrize(
+    "globs, name, want",
+    [
+        (["a[[]b", "c[*]", "d[?]"], "a[b", True),
+        (["a[[]b", "c[*]", "d[?]"], "c*", True),
+        (["a[[]b", "c[*]", "d[?]"], "cx", False),
+        (["a[[]b", "d[?]"], "dx", False),
+        (["a[[]b", "d*"], "dx", True),
+        (["[ab]"], "a", True),
+        ([], "", False),
+        ([""], "", True),
+    ],
+)
+def test_any_glob_on_literal_and_wildcard_globs(globs, name, want):
+    assert bool(any_glob(globs)(name)) is want
 
 
 def test_extract_relations_go_module_prefix():

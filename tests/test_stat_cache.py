@@ -59,6 +59,13 @@ def draft(path: str, note: str = "drafted") -> str:
     return f"{path}[WA9M]: F:file {path} | R:- | A:- | S:{note}"
 
 
+def stats(store: StalenessStore) -> dict[str, str]:
+    """Path -> recorded stat of every row that has one, read off the written
+    store."""
+    rows = (line.split("\t") for line in store.dump().splitlines())
+    return {fields[0]: fields[3] for fields in rows if len(fields) == 4}
+
+
 class Repo:
     """A repository root with its index and store, updated through the CLI."""
 
@@ -129,8 +136,9 @@ class Repo:
         if os.path.exists(self.store):
             with open(self.store, encoding="utf-8") as handle:
                 text = handle.read()
-        store = StalenessStore.load(text)
-        store.stats.clear()
+        store = StalenessStore.load(
+            "".join("\t".join(line.split("\t")[:3]) + "\n" for line in text.splitlines())
+        )
         with open(self.index, "rb") as handle:
             index = parse_index(handle.read())
         return detect_stale(store, collect_file_digests(self.root, exclude_globs=OWN), index).records
@@ -156,7 +164,7 @@ def seeded(tmp_path, names=("a.go", "b.py", "d/c.go")) -> Repo:
     code, reported = repo.detect([draft(name) for name in names])
     assert code == 0
     assert reported == tuple(ChangeRecord(ChangeStatus.ADDED, name) for name in sorted(names))
-    assert sorted(repo.load_store().stats) == sorted(names)
+    assert sorted(stats(repo.load_store())) == sorted(names)
     return repo
 
 
@@ -198,8 +206,8 @@ def test_changes_opens_only_the_listed_files_whose_stat_changed(tmp_path):
     assert opened == collections.Counter(["a.go", "g/e.go", "h.go"])
     # b.py was regenerated from its recorded digest, so it lost its stat.
     store = repo.load_store()
-    assert store.records["b.py"][0] == content_digest(b"package b.py\n")
-    assert "b.py" not in store.stats
+    assert store.get("b.py")[0] == content_digest(b"package b.py\n")
+    assert "b.py" not in stats(store)
 
     opened, (code, reported) = repo.opened_by(repo.detect)
     assert (code, reported) == (0, ())
@@ -211,7 +219,7 @@ def test_a_touch_is_not_reported_and_not_read_again(tmp_path):
     repo.age("a.go")
     opened, (code, reported) = repo.opened_by(repo.detect)
     assert (code, reported, opened) == (0, (), collections.Counter(["a.go"]))
-    assert repo.load_store().stats["a.go"] == stat_key(os.stat(repo.path("a.go")))
+    assert stats(repo.load_store())["a.go"] == stat_key(os.stat(repo.path("a.go")))
 
     opened, (code, reported) = repo.opened_by(repo.detect)
     assert (code, reported, opened) == (0, (), collections.Counter())
@@ -219,12 +227,15 @@ def test_a_touch_is_not_reported_and_not_read_again(tmp_path):
 
 def test_a_pending_row_is_reported_even_when_its_stat_matches(tmp_path):
     repo = seeded(tmp_path)
-    store = repo.load_store()
-    content, entry = store.records["a.go"]
-    store.records["a.go"] = ("", entry)  # pending, stat left in place
+    with open(repo.store, encoding="utf-8") as handle:
+        text = handle.read()
+    row = next(line for line in text.splitlines() if line.startswith("a.go\t"))
+    _, _, entry, stat = row.split("\t")
+    text = text.replace(row, f"a.go\t\t{entry}\t{stat}")  # pending, stat left in place
     with open(repo.store, "w", encoding="utf-8") as handle:
-        handle.write(store.dump())
-    assert "a.go\t\t" in store.dump() and store.stats["a.go"]
+        handle.write(text)
+    store = StalenessStore.load(text)
+    assert "a.go\t\t" in store.dump() and stats(store)["a.go"]
 
     opened, (code, reported) = repo.opened_by(repo.detect)
     assert code == 0
@@ -242,7 +253,7 @@ def test_a_three_field_store_loads_and_is_upgraded(tmp_path):
     assert old != text
     with open(repo.store, "w", encoding="utf-8") as handle:
         handle.write(old)
-    assert StalenessStore.load(old).stats == {}
+    assert stats(StalenessStore.load(old)) == {}
 
     opened, (code, reported) = repo.opened_by(repo.detect)
     assert (code, reported) == (0, ())
@@ -262,9 +273,11 @@ def test_a_racy_stat_is_not_trusted(tmp_path):
     # Recorded mtime equal to the store's: racy, so the file is read.
     racy = StalenessStore.load(text, st.st_mtime_ns)
     assert collect_file_digests(tmp_path, store=racy) == [("f.go", content_digest(b"package f\n"))]
-    # Strictly older: trusted, so the recorded digest stands unread.
+    # Strictly older: trusted, so the file is not read and the store's
+    # recorded digest stands (the pair carries no copy of it).
     trusted = StalenessStore.load(text, st.st_mtime_ns + 1)
-    assert collect_file_digests(tmp_path, store=trusted) == [("f.go", stale)]
+    assert collect_file_digests(tmp_path, store=trusted) == [("f.go", None)]
+    assert trusted.get("f.go") == (stale, "")
     # A store that was not loaded from a file trusts nothing.
     assert not StalenessStore({"f.go": (stale, "")}, stats={"f.go": stat_key(st)}).unchanged(
         "f.go", st
@@ -279,12 +292,12 @@ def test_a_stat_taken_at_or_after_the_run_started_is_never_recorded(tmp_path):
     for started_ns in (st.st_mtime_ns, st.st_mtime_ns - 1):
         store.started_ns = started_ns
         store.observe("f.go", digest, st)  # a touch, but racy: the old stat goes
-        assert "f.go" not in store.stats
+        assert "f.go" not in stats(store)
         store.set("f.go", digest, "e2")  # the racy read gives no stat to set
-        assert "f.go" not in store.stats
+        assert "f.go" not in stats(store)
     store.started_ns = st.st_mtime_ns + 1
     store.observe("f.go", digest, st)
-    assert store.stats["f.go"] == stat_key(st)
+    assert stats(store)["f.go"] == stat_key(st)
 
 
 def test_a_racy_read_leaves_no_stat_for_a_later_write_to_trust(tmp_path):
@@ -296,7 +309,7 @@ def test_a_racy_read_leaves_no_stat_for_a_later_write_to_trust(tmp_path):
     os.utime(repo.path("a.go"), ns=(ahead, ahead))
     code, reported = repo.detect([draft("a.go", "again")])
     assert (code, reported) == (0, (ChangeRecord(ChangeStatus.MODIFIED, "a.go"),))
-    assert "a.go" not in repo.load_store().stats
+    assert "a.go" not in stats(repo.load_store())
 
     # A --changes run that does not list a.go writes the store anew, with a
     # later mtime; a.go still has no stat, so the next --detect reads it.
@@ -304,7 +317,7 @@ def test_a_racy_read_leaves_no_stat_for_a_later_write_to_trust(tmp_path):
     listing = tmp_path / "changes.txt"
     listing.write_text("M\tb.py\n", encoding="utf-8")
     assert repo.update("--changes", str(listing), drafts=[draft("b.py", "again")])[0] == 0
-    assert "a.go" not in repo.load_store().stats
+    assert "a.go" not in stats(repo.load_store())
     opened, (code, reported) = repo.opened_by(repo.detect)
     assert (code, reported, opened) == (0, (), collections.Counter(["a.go"]))
 
@@ -312,7 +325,7 @@ def test_a_racy_read_leaves_no_stat_for_a_later_write_to_trust(tmp_path):
     repo.age("a.go")
     opened, (code, reported) = repo.opened_by(repo.detect)
     assert (code, reported, opened) == (0, (), collections.Counter(["a.go"]))
-    assert repo.load_store().stats["a.go"] == stat_key(os.stat(repo.path("a.go")))
+    assert stats(repo.load_store())["a.go"] == stat_key(os.stat(repo.path("a.go")))
 
 
 def test_setting_a_row_drops_its_stat_unless_this_run_read_that_content(tmp_path):
@@ -326,17 +339,17 @@ def test_setting_a_row_drops_its_stat_unless_this_run_read_that_content(tmp_path
     )
     store.started_ns = started_ns
     store.observe("b.go", content_digest(b"changed"), st["b.go"])
-    assert store.stats["b.go"] == "old"  # a changed file keeps the row's stat until set
+    assert stats(store)["b.go"] == "old"  # a changed file keeps the row's stat until set
     store.observe("a.go", content_digest(b"a.go"), st["a.go"])
-    assert store.stats["a.go"] == stat_key(st["a.go"])  # a touch takes the fresh stat
+    assert stats(store)["a.go"] == stat_key(st["a.go"])  # a touch takes the fresh stat
     store.set("a.go", content_digest(b"a.go"), "e2")
-    assert store.stats["a.go"] == stat_key(st["a.go"])
+    assert stats(store)["a.go"] == stat_key(st["a.go"])
     store.set("a.go", content_digest(b"other"), "e3")
-    assert "a.go" not in store.stats
+    assert "a.go" not in stats(store)
     store.mark_pending("b.go")
-    assert "b.go" not in store.stats
+    assert "b.go" not in stats(store)
     store.discard("c.go")
-    assert "c.go" not in store.stats and "c.go" not in store.records
+    assert "c.go" not in stats(store) and store.get("c.go") is None
 
     # A rename keeps a stat only when the new path was read in this run.
     store = StalenessStore(
@@ -350,8 +363,8 @@ def test_setting_a_row_drops_its_stat_unless_this_run_read_that_content(tmp_path
         parse_changeset("R100\ta.go\tx.go\nR100\tb.go\ty.go\n"),
     )
     commit_plan(store, plan, lines, {"y.go": "cb"})
-    assert store.stats == {"y.go": stat_key(st["b.go"])}
-    assert store.records["x.go"][0] == "ca"
+    assert stats(store) == {"y.go": stat_key(st["b.go"])}
+    assert store.get("x.go")[0] == "ca"
 
 
 def test_changes_with_a_store_records_the_stats_of_the_files_it_digests(tmp_path):
@@ -362,9 +375,9 @@ def test_changes_with_a_store_records_the_stats_of_the_files_it_digests(tmp_path
     listing.write_text("M\ta.go\nA\tn.go\n", encoding="utf-8")
     code, _ = repo.update("--changes", str(listing), drafts=[draft("a.go", "again"), draft("n.go")])
     assert code == 0
-    stats = repo.load_store().stats
+    recorded = stats(repo.load_store())
     for name in ("a.go", "n.go"):
-        assert stats[name] == stat_key(os.stat(repo.path(name)))
+        assert recorded[name] == stat_key(os.stat(repo.path(name)))
     opened, (code, reported) = repo.opened_by(repo.detect)
     assert (code, reported, opened) == (0, (), collections.Counter())
 
@@ -403,9 +416,9 @@ def test_a_file_changed_after_the_update_started_gets_no_stat(
         assert repo.detect() == (0, ())
     # With the index on stdin, idx.aoci is one more walked file.
     stored = repo.load_store()
-    assert {"a.go", "b.py", "d/c.go"} <= set(stored.records)
-    assert "b.py" not in stored.stats and "d/c.go" not in stored.stats
-    assert stored.stats["a.go"] == stat_key(os.stat(repo.path("a.go")))
+    assert {"a.go", "b.py", "d/c.go"} <= stored.paths()
+    assert "b.py" not in stats(stored) and "d/c.go" not in stats(stored)
+    assert stats(stored)["a.go"] == stat_key(os.stat(repo.path("a.go")))
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +704,7 @@ class StatCacheMachine(RuleBasedStateMachine):
         for rel, fs_path in tree.walk_files(self.repo.root, exclude_globs=OWN):
             if store.unchanged(rel, os.stat(fs_path)):
                 with open(fs_path, "rb") as handle:
-                    assert content_digest(handle.read()) == store.records[rel][0], rel
+                    assert content_digest(handle.read()) == store.get(rel)[0], rel
 
 
 StatCacheMachine.TestCase.settings = settings(
