@@ -348,7 +348,7 @@ class StalenessStore:
         """
         store = cls(mtime_ns=mtime_ns)
         rows = store._rows
-        for line_no, line in enumerate(_lines(text), start=1):
+        for line_no, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
                 continue
             path, _, row = line.rstrip("\r").partition("\t")
@@ -450,18 +450,6 @@ def _stat(row: str) -> str:
     """The stat field of a store row, empty when it has none."""
     fields = row.split("\t")
     return fields[2] if len(fields) == 3 else ""
-
-
-def _lines(text: str) -> Iterator[str]:
-    """The ``\\n``-separated lines of ``text``, one at a time, so the whole
-    list of lines is never held beside the rows built from it."""
-    start, size = 0, len(text)
-    while start <= size:
-        end = text.find("\n", start)
-        if end < 0:
-            end = size
-        yield text[start:end]
-        start = end + 1
 
 
 def detect_stale(

@@ -50,9 +50,7 @@ def any_glob(globs: Iterable[str]) -> Callable[[str], object]:
             literals.add(_ESCAPED.sub(r"\1", glob))
         else:
             patterns.append(translate(glob))
-    if not patterns:
-        return literals.__contains__
-    match = re.compile("|".join(patterns)).match
+    match = re.compile("|".join(patterns) or "(?!)").match
     if not literals:
         return match
     return lambda path: path in literals or match(path)

@@ -85,7 +85,7 @@ def test_streamed_commands_hold_the_index_and_one_block(argv, document, tmp_path
 
 # Measured with the tree below, in multiples of its index plus its store
 # (about 0.65 MB), on Python 3.10, 3.11 and 3.12: a warm update --detect peaks at
-# 3.29, 3.20 and 3.04, and update --changes at 2.99, 3.02 and 2.87. When the
+# 3.29, 3.20 and 3.04, and update --changes at 2.99, 3.06 and 2.92. When the
 # store split every row into tuples, each file the store vouched for carried
 # a copy of its digest, and the new index was built whole and encoded for its
 # digest, they read 4.40, 4.29 and 4.08, and 3.85, 3.75 and 3.56. Each bound
