@@ -323,7 +323,8 @@ def _cmd_check(args: argparse.Namespace) -> ExitCode:
         _write_text(args.report, [json.dumps(records, indent=2) + "\n"])
     if args.files and index is not None:
         file_list = [line for line in _read_text(args.files).splitlines() if line.strip()]
-        coverage = check_coverage(index, file_list)
+        own = _own_files(os.getcwd(), _index_files(args.index))
+        coverage = check_coverage(index, file_list, exclude_globs=own)
         print(
             f"coverage: {coverage.indexed_files}/{coverage.eligible_files} eligible files indexed"
         )
@@ -364,7 +365,9 @@ def _cmd_scaffold(args: argparse.Namespace) -> ExitCode:
     except AociError as exc:  # undecodable: a configuration error, as a bad rule is
         raise ConfigError(str(exc)) from None
     rules = scaffold.parse_rules_file(text)
-    result = scaffold.scaffold_repo(args.root, rules)
+    out = [] if args.out in (None, "-") else [args.out]
+    own = _own_files(os.path.abspath(args.root), out, [args.prompts] if args.prompts else [])
+    result = scaffold.scaffold_repo(args.root, rules, exclude_globs=own)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     _write_text(args.out or "-", [serialize_index(result.index)])
@@ -392,18 +395,20 @@ def _cmd_scaffold(args: argparse.Namespace) -> ExitCode:
     return ExitCode.OK
 
 
-def _own_files(args: argparse.Namespace, root: str) -> list[str]:
-    """Exclude globs for the index, its lock file and the store, where they
-    lie under ``root``."""
-    own = [args.store]
-    if args.index != "-":
-        own += [args.index, _lock_path(args.index)]
+def _own_files(root: str, files: Iterable[str], dirs: Iterable[str] = ()) -> list[str]:
+    """Exclude globs for the tool's own files under ``root``: each of
+    ``files``, and every file under each of ``dirs``."""
     globs = []
-    for path in own:
+    for path, under in [(path, "") for path in files] + [(path, "/*") for path in dirs]:
         rel = os.path.relpath(os.path.abspath(path), root)
         if rel != os.pardir and not rel.startswith(os.pardir + os.sep):
-            globs.append(glob.escape(canonical_path(rel)))
+            globs.append(glob.escape(canonical_path(rel)) + under)
     return globs
+
+
+def _index_files(index: str) -> list[str]:
+    """The index file and its lock file; none for an index on ``-``."""
+    return [] if index == "-" else [index, _lock_path(index)]
 
 
 def _update_input(path: str, known_digest: str) -> IndexLines:
@@ -458,9 +463,8 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
         index = _update_input(args.index, store.index_digest)
         if args.detect:
             root = os.getcwd()
-            digests = incremental.collect_file_digests(
-                root, exclude_globs=_own_files(args, root), store=store
-            )
+            own = _own_files(root, [args.store, *_index_files(args.index)])
+            digests = incremental.collect_file_digests(root, exclude_globs=own, store=store)
             # Only the files read can be regenerated: a file the store
             # vouched for (digest None) matches its row, so it is not reported.
             file_digests = {path: digest for path, digest in digests if digest is not None}

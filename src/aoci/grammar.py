@@ -498,14 +498,15 @@ def parse_header(text: str | bytes) -> Header:
 
 
 def decode_utf8(data: bytes) -> str:
-    """Decode an input file's bytes by the rule every input follows: UTF-8.
+    """Decode an input file's bytes by the rule every input follows: UTF-8,
+    with a leading byte order mark dropped.
 
     Raises:
         ParseError: kind ``ENCODING``, located at the first byte that is not
             UTF-8.
     """
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         error = _encoding_error(data, exc)
     # Raised outside the handler, so it does not chain the UnicodeDecodeError,
@@ -525,11 +526,12 @@ def _encoding_error(data: bytes, exc: UnicodeDecodeError) -> ParseError:
 
 def _decode_input(text: str | bytes, errors: list[ParseError]) -> str:
     if isinstance(text, str):
-        return text.removeprefix("﻿")
+        return text.removeprefix("\ufeff")
     try:
-        return text.decode("utf-8").removeprefix("﻿")
-    except UnicodeDecodeError as exc:
-        errors.append(_encoding_error(text, exc))
+        return decode_utf8(text)
+    except ParseError as error:
+        error.__traceback__ = None  # its frames hold the input
+        errors.append(error)
         return text.decode("utf-8", errors="replace")
 
 
@@ -803,33 +805,7 @@ def parse_code_entry_line(line: str, dictionary: TagDictionary) -> CodeEntry:
     return _parse_code_line(line.strip(), 1, dictionary)
 
 
-#: The ``CodeEntry`` field values of one entry line, in field order.
-CodeFields = tuple[str, str | None, DecodedTag | None, str, tuple[str, ...], str, str]
-
-
-def code_line_fields(line: str, dictionary: TagDictionary) -> CodeFields:
-    """The ``CodeEntry`` field values of an entry line, without building it.
-
-    ``CodeEntry(*fields)`` gives the entry ``parse_code_entry_line`` would;
-    a caller that changes a field first builds the entry once, not twice.
-    Only the syntax and the tag are checked here; the entry invariants run
-    when the caller constructs it.
-
-    Raises:
-        ParseError: with line number 1.
-    """
-    return _code_line_fields(line.strip(), 1, dictionary)
-
-
 def _parse_code_line(line: str, line_no: int, dictionary: TagDictionary) -> CodeEntry:
-    fields = _code_line_fields(line, line_no, dictionary)
-    try:
-        return CodeEntry(*fields)
-    except (InvariantError, InvalidPath) as exc:
-        raise ParseError(line_no, 1, ParseErrorKind.MALFORMED_ENTRY, str(exc)) from None
-
-
-def _code_line_fields(line: str, line_no: int, dictionary: TagDictionary) -> CodeFields:
     match = _ENTRY_RE.match(line)
     if not match:
         raise ParseError(
@@ -892,7 +868,10 @@ def _code_line_fields(line: str, line_no: int, dictionary: TagDictionary) -> Cod
                 raise ParseError(
                     line_no, column, ParseErrorKind.TAG_DECODE, f"tag {tag!r}: {exc}"
                 ) from None
-    return path_text, tag, decoded, f_text, refs, a_text, s_text
+    try:
+        return CodeEntry(path_text, tag, decoded, f_text, refs, a_text, s_text)
+    except (InvariantError, InvalidPath) as exc:
+        raise ParseError(line_no, 1, ParseErrorKind.MALFORMED_ENTRY, str(exc)) from None
 
 
 def _parse_table_line(line: str, line_no: int, dictionary: TagDictionary) -> TableEntry:

@@ -67,7 +67,7 @@ from .grammar import (
     IndexLines,
     ParseError,
     ParseErrorKind,
-    code_line_fields,
+    parse_code_entry_line,
     parse_index,
     scan_index,
     serialize_code_entry,
@@ -494,8 +494,9 @@ def apply_lines(
     """Apply a plan, substituting supplied drafts for regenerated paths.
 
     This is the one applier. Only the lines of renamed entries and rewrite
-    hosts are parsed, each into one ``CodeEntry`` per change; they and the
-    drafts are serialized anew, and every other line is kept byte for byte.
+    hosts are parsed, each into a ``CodeEntry`` rebuilt once per change; they
+    and the drafts are serialized anew, and every other line is kept byte
+    for byte.
     ``lines`` must come from ``scan_index`` over canonical text, and the
     result's ``text()`` is ``serialize_index`` of the updated index. The
     errors are those of building an ``Index`` of the result, raised in the
@@ -531,14 +532,14 @@ def apply_lines(
         mapping = rewrites_by_host.get(row.path)
         new_path = plan.rename_map.get(row.path)
         if mapping or new_path is not None:
-            path, tag, decoded, f, r, a, s = code_line_fields(row.line, dictionary)
+            entry = parse_code_entry_line(row.line, dictionary)
+            # The rewrite is built under the old path first, so a rejected
+            # reference is reported before a rejected path.
             if mapping:
-                r = tuple(mapping.get(ref, ref) for ref in r)
-                if new_path is not None:
-                    # The rewrite is checked under the old path first, so a
-                    # rejected reference is reported before a rejected path.
-                    CodeEntry(path, tag, decoded, f, r, a, s)
-            row = _code_row(CodeEntry(new_path or path, tag, decoded, f, r, a, s))
+                entry = dataclasses.replace(entry, r=tuple(mapping.get(r, r) for r in entry.r))
+            if new_path is not None:
+                entry = dataclasses.replace(entry, path=new_path)
+            row = _code_row(entry)
         rows.append(row)
 
     by_path = {row.path: i for i, row in enumerate(rows)}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterable
 
@@ -223,25 +223,13 @@ def stats_table(stats: IndexStats) -> str:
 
 
 def stats_records(stats: IndexStats) -> dict:
-    """Machine-readable rendering (JSON-compatible keys and values)."""
-    return {
-        "total_code_entries": stats.total_code_entries,
-        "decoded_entries": stats.decoded_entries,
-        "residual_tag_entries": stats.residual_tag_entries,
-        "untagged_entries": stats.untagged_entries,
-        "table_entries": stats.table_entries,
-        "per_layer": dict(sorted(stats.per_layer.items())),
-        "per_module": dict(sorted(stats.per_module.items())),
-        "per_importance": {str(k): v for k, v in sorted(stats.per_importance.items())},
-        "per_feature": dict(sorted(stats.per_feature.items())),
-        "per_scale": dict(sorted(stats.per_scale.items())),
-        "scale_absent": stats.scale_absent,
-        "total_tokens": stats.total_tokens,
-        "per_importance_tokens": {
-            str(k): v for k, v in sorted(stats.per_importance_tokens.items())
-        },
-        "budget_under": stats.budget_under,
-        "budget_within": stats.budget_within,
-        "budget_over": stats.budget_over,
-        "compression_ratio": stats.compression_ratio,
-    }
+    """Machine-readable rendering (JSON-compatible keys and values): every
+    field of ``IndexStats`` in declaration order, a count table sorted by key
+    with its keys as strings."""
+    records = {}
+    for item in fields(IndexStats):
+        value = getattr(stats, item.name)
+        if isinstance(value, dict):
+            value = {str(key): count for key, count in sorted(value.items())}
+        records[item.name] = value
+    return records

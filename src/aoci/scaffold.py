@@ -343,7 +343,8 @@ def extract_relations(
     for line in file_text.split("\n"):
         for pattern in patterns:
             for match in pattern.finditer(line):
-                ref = _resolve_import(match.group(1), path, resolver)
+                # A group that took no part in the match captures None.
+                ref = _resolve_import(match.group(1) or "", path, resolver)
                 if ref and ref not in seen:
                     seen.add(ref)
                     refs.append(ref)

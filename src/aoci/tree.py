@@ -3,11 +3,12 @@
 Drafting (``scaffold``), coverage checking and digesting for ``update``
 (``--detect`` and ``--changes``) must see the same files in the same way,
 or the index drifts from the code it describes. So the rule lives here
-alone, in one walker (``walk_files``) and one reader (``stat_read``):
+alone, in one predicate (``eligible``), one walker (``walk_files``) and one
+reader (``stat_read``):
 
-- hidden directories and files (leading dot) are skipped;
-- include and exclude globs match whole canonical paths, with ``*``
-  crossing ``/``;
+- a canonical path is eligible when none of its segments starts with a
+  dot, and some include glob but no exclude glob matches it, with ``*``
+  crossing ``/``; ``check --files`` counts its list by the same predicate;
 - files come out in lexicographic canonical-path order.
 
 A walked file has two paths. The canonical path is the index's name for it
@@ -56,12 +57,25 @@ def any_glob(globs: Iterable[str]) -> Callable[[str], object]:
     return lambda path: path in literals or match(path)
 
 
+def eligible(include_globs: Iterable[str], exclude_globs: Iterable[str]) -> Callable[[str], bool]:
+    """The rule for the files an index describes, as a predicate on a
+    canonical path: no segment starts with ``.``, some include glob matches
+    the path and no exclude glob does. A file named ``x\\.go`` has the
+    canonical path ``x/.go``, so it is hidden too.
+    """
+    included = any_glob(include_globs)
+    excluded = any_glob(exclude_globs)
+    return lambda path: not (
+        path.startswith(".") or "/." in path or not included(path) or excluded(path)
+    )
+
+
 def _walk(root: str, enter: Callable[[str], bool]) -> Iterator[tuple[str, str]]:
-    """Yield ``(canonical path, filesystem path)`` for every visible file.
+    """Yield ``(canonical path, filesystem path)`` for every file.
 
     Directories are visited top-down, subdirectories and files each in name
-    order. A subdirectory is entered only when ``enter`` accepts its
-    canonical path, ending in ``/``.
+    order. A subdirectory is entered only when its name does not start with
+    a dot and ``enter`` accepts its canonical path, ending in ``/``.
     """
     for dirpath, dirnames, filenames in os.walk(root):
         rel_dir = os.path.relpath(dirpath, root)
@@ -73,8 +87,7 @@ def _walk(root: str, enter: Callable[[str], bool]) -> Iterator[tuple[str, str]]:
         )
         fs_prefix = os.path.join(dirpath, "")
         for filename in sorted(filenames):
-            if not filename.startswith("."):
-                yield canonical_path(prefix + filename), fs_prefix + filename
+            yield canonical_path(prefix + filename), fs_prefix + filename
 
 
 def walk_files(
@@ -82,30 +95,30 @@ def walk_files(
     include_globs: Iterable[str] = ("*",),
     exclude_globs: Iterable[str] = (),
 ) -> list[tuple[str, str]]:
-    """List eligible files as ``(canonical path, filesystem path)`` pairs.
+    """List the ``eligible`` files as ``(canonical path, filesystem path)``
+    pairs.
 
     Pairs come out in lexicographic canonical-path order, ties in walk
-    order. Nothing is opened. A directory is entered only when some include
-    glob can match a path under it: every match of a glob starts with the
-    glob's literal head, the text before its first ``*``, ``?`` or ``[``,
-    so the directory's canonical path plus ``/`` and some head must be
-    prefix-compatible (one starts with the other). The default ``("*",)``
-    has the empty head and enters every directory. A root that is not a
-    directory raises OSError.
+    order. Nothing is opened. A hidden directory is not entered, and a
+    directory is entered only when some include glob can match a path under
+    it: every match of a glob starts with the glob's literal head, the text
+    before its first ``*``, ``?`` or ``[``, so the directory's canonical
+    path plus ``/`` and some head must be prefix-compatible (one starts with
+    the other). The default ``("*",)`` has the empty head and enters every
+    directory. A root that is not a directory raises OSError.
     """
     root = os.fspath(root)
     if not os.path.isdir(root):
         raise OSError(f"not a readable directory: {root}")
     include_globs = tuple(include_globs)
     heads = {re.split(r"[*?[]", glob, maxsplit=1)[0] for glob in include_globs}
-    included = any_glob(include_globs)
-    excluded = any_glob(exclude_globs)
+    admits = eligible(include_globs, exclude_globs)
     out = [
         (rel, fs_path)
         for rel, fs_path in _walk(
             root, lambda dir_: any(h.startswith(dir_) or dir_.startswith(h) for h in heads)
         )
-        if included(rel) and not excluded(rel)
+        if admits(rel)
     ]
     out.sort(key=lambda item: item[0])
     return out

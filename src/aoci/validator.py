@@ -17,6 +17,9 @@ importance digits off the scale have no rules here: the ``Index`` and
 ``DecodedTag`` constructors reject them, and the parser reports them as
 located parse errors. Budget violations are warnings because budgets guide
 generation, they do not make an index invalid.
+
+Coverage (``check_coverage``) counts a listed file by the walk's rule,
+``tree.eligible``, so a hidden path in the list is not eligible.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable
 from .errors import ConfigError
 from .metrics import DEFAULT_ESTIMATOR, TokenEstimator
 from .model import Index, TagDictionary, canonical_path
-from .tree import any_glob
+from .tree import eligible
 
 if TYPE_CHECKING:
     from .grammar import ParseError
@@ -275,20 +278,23 @@ def check_coverage(
 ) -> CoverageReport:
     """Compare the index against the file tree it claims to describe.
 
-    Globs match the whole canonical path, so ``*`` crosses ``/``; the file
-    list is expected canonical and is re-normalized defensively.
+    A listed file counts when ``tree.eligible`` admits it, so a list of
+    every file under a root counts exactly the files ``tree.walk_files``
+    lists there. The file list is expected canonical and is re-normalized
+    defensively.
     """
-    included = any_glob(_check_globs(include_globs, "include"))
-    excluded = any_glob(_check_globs(exclude_globs, "exclude"))
+    admits = eligible(
+        _check_globs(include_globs, "include"), _check_globs(exclude_globs, "exclude")
+    )
     files = [canonical_path(path) for path in file_list]
     file_set = set(files)
-    eligible = [path for path in files if included(path) and not excluded(path)]
+    counted = [path for path in files if admits(path)]
     entry_paths = index.code_paths()
-    unindexed = sorted(path for path in eligible if path not in entry_paths)
+    unindexed = sorted(path for path in counted if path not in entry_paths)
     orphans = sorted(path for path in entry_paths if path not in file_set)
     return CoverageReport(
-        eligible_files=len(eligible),
-        indexed_files=len(eligible) - len(unindexed),
+        eligible_files=len(counted),
+        indexed_files=len(counted) - len(unindexed),
         unindexed=tuple(unindexed),
         orphan_entries=tuple(orphans),
     )

@@ -340,6 +340,16 @@ def reference_apply_update(index: Index, plan, drafts=None) -> Index:
     return Index(index.header, tuple(entries), index.table_entries)
 
 
+def splice_noise(rng: random.Random, data: bytes) -> bytes:
+    """``data`` with the span between two random cuts replaced by 0 to 12
+    random bytes: a valid document, broken somewhere deep. ``data`` must not
+    be empty."""
+    cut_a = rng.randrange(len(data))
+    cut_b = rng.randrange(len(data))
+    noise = bytes(rng.randrange(256) for _ in range(rng.randint(0, 12)))
+    return data[: min(cut_a, cut_b)] + noise + data[max(cut_a, cut_b) :]
+
+
 # ---------------------------------------------------------------------------
 # Tree walks: one awkward tree and a brute-force reading of the walk rule
 # ---------------------------------------------------------------------------
@@ -382,28 +392,42 @@ def make_walk_tree(root: Path) -> None:
 
 def make_folded_walk_tree(root: Path) -> None:
     """``make_walk_tree`` plus files whose canonical paths fold a backslash:
-    ``y\\z.go`` beside a real ``y/z.go``, and ``r.go`` in a ``q\\``
-    directory (canonical path ``q/r.go``). POSIX only."""
+    ``y\\z.go`` beside a real ``y/z.go``, ``r.go`` in a ``q\\``
+    directory (canonical path ``q/r.go``), and ``w\\.go`` and ``v\\.d/f.go``,
+    whose canonical paths ``w/.go`` and ``v/.d/f.go`` are hidden. POSIX only."""
     make_walk_tree(root)
     (root / "y").mkdir()
     (root / "y" / "z.go").write_bytes(b"real\n")
     (root / "y\\z.go").write_bytes(b"folded\n")
     (root / "q\\").mkdir()
     (root / "q\\" / "r.go").write_bytes(b"folded dir\n")
+    (root / "w\\.go").write_bytes(b"folded hidden\n")
+    (root / "v\\.d").mkdir()
+    (root / "v\\.d" / "f.go").write_bytes(b"folded hidden dir\n")
+
+
+def all_files(root: Path) -> list[str]:
+    """The canonical path of every file under ``root``, hidden ones included."""
+    return [
+        canonical_path(os.path.relpath(os.path.join(dirpath, filename), root))
+        for dirpath, _, filenames in os.walk(root)
+        for filename in filenames
+    ]
 
 
 def reference_walk(root: Path, include, exclude) -> list[tuple[str, bytes, str]]:
     """``(path, bytes, file name)`` of every readable visible file that the
     globs admit, in path order, found the slow way: a ``relpath`` per file,
-    canonicalized, so ``y\\z.go`` comes out as ``y/z.go``."""
+    canonicalized, so ``y\\z.go`` comes out as ``y/z.go``. A file is visible
+    when no segment of that canonical path starts with a dot, so ``w\\.go``
+    (``w/.go``) is hidden."""
     out = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = [d for d in dirnames if not d.startswith(".")]
+    for dirpath, _, filenames in os.walk(root):
         for filename in filenames:
-            if filename.startswith("."):
-                continue
             full = os.path.join(dirpath, filename)
             rel = canonical_path(os.path.relpath(full, root))
+            if any(segment.startswith(".") for segment in rel.split("/")):
+                continue
             if not any(fnmatchcase(rel, glob) for glob in include):
                 continue
             if any(fnmatchcase(rel, glob) for glob in exclude):

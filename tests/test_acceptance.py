@@ -21,6 +21,7 @@ from conftest import (
     make_dictionary,
     make_index,
     make_reference_dictionary,
+    splice_noise,
 )
 from aoci.ablation import AblationVariant, apply_ablation
 from aoci.grammar import (
@@ -320,10 +321,7 @@ def test_criterion_9_fuzz_robustness(listing_text):
             data = bytes(rng.randrange(256) for _ in range(rng.randint(0, 200)))
         else:
             # Splice noise into a valid document to reach deeper parser paths.
-            cut_a = rng.randrange(len(golden))
-            cut_b = rng.randrange(len(golden))
-            noise = bytes(rng.randrange(256) for _ in range(rng.randint(0, 12)))
-            data = golden[: min(cut_a, cut_b)] + noise + golden[max(cut_a, cut_b) :]
+            data = splice_noise(rng, golden)
         try:
             parse_index(data)
         except ParseError as exc:
@@ -529,7 +527,10 @@ def test_update_with_a_matching_digest_builds_only_touched_entries(tmp_path, mon
 
     assert code == 0
     assert full_parses == []
-    budget = len(renamed) + len(hosts) + len(draft_lines)
+    # A touched row is parsed into one entry, then rebuilt once per change:
+    # its new references, then its new path.
+    touched = hosts | {paths[j] for j in renamed}
+    budget = len(touched) + len(renamed) + len(hosts) + len(draft_lines)
     assert constructed <= budget, f"{constructed} entries built, budget {budget}"
     assert index_path.read_bytes() == expected
     print(

@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, make_index
+from conftest import FIXTURES, LISTING_AUTH, make_index, splice_noise
 from aoci import grammar
-from aoci.cli import run
+from aoci.cli import ExitCode, run
 from aoci.grammar import (
     ParseError,
     ParseErrorKind,
@@ -188,6 +188,18 @@ def test_check_coverage_output(tmp_path, capsys):
     assert "coverage: 2/3 eligible files indexed" in out
     assert "unindexed: extra.go" in out
     assert "orphan entry: model/org/org.go" in out
+
+
+def test_check_files_leaves_out_its_own_index(tmp_path, golden_copy, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    files = tmp_path / "files.txt"
+    files.write_text(
+        "auth.go\nconfig.yaml\nlisting1.aoci\nlisting1.aoci.lock\nextra.go\n", encoding="utf-8"
+    )
+    assert run(["check", str(golden_copy), "--files", "files.txt"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "coverage: 2/3 eligible files indexed" in out
+    assert [line for line in out if line.startswith("unindexed: ")] == ["unindexed: extra.go"]
 
 
 def test_check_report_records(tmp_path):
@@ -402,6 +414,24 @@ def test_scaffold_cli_keeps_the_first_pack_under_a_colliding_name(tmp_path, caps
     assert "\nENTRY\nx/y.go[" in pack and "\nSOURCE\npackage x\n" in pack
 
 
+def test_scaffold_cli_leaves_out_its_own_index_and_packs(tmp_path, monkeypatch):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.go").write_text("package pkg\n", encoding="utf-8")
+    (tmp_path / "rules.txt").write_text("[layer]\n* = W\n[module]\n* = A\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    argv = ["scaffold", ".", "--rules", "rules.txt", "--out", "idx.aoci", "--prompts", "packs"]
+
+    assert run(argv) == 0
+    first = (tmp_path / "idx.aoci").read_bytes()
+    assert run(argv) == 0
+    assert (tmp_path / "idx.aoci").read_bytes() == first
+    assert [e.path for e in parse_index(first).code_entries] == ["pkg/a.go", "rules.txt"]
+    assert sorted(p.name for p in (tmp_path / "packs").iterdir()) == [
+        "pkg__a.go.prompt.txt",
+        "rules.txt.prompt.txt",
+    ]
+
+
 def test_update_cli_with_changes_and_drafts(tmp_path, golden_copy, capsys):
     changes = tmp_path / "changes.txt"
     changes.write_text("M\tauth.go\nD\tmodel/org/org.go\n", encoding="utf-8")
@@ -449,13 +479,13 @@ def test_update_cli_names_the_draft_file_that_fails_to_parse(
 # One byte that is not UTF-8, at line 2, column 2.
 _UNDECODABLE = b"ok.go\nz\xff.go\n"
 
+_SIDE_INPUTS = ["changes", "rules", "files", "files-stdin", "pred", "truth", "draft", "store"]
 
-@pytest.mark.parametrize(
-    "case", ["changes", "rules", "files", "files-stdin", "pred", "truth", "draft", "store"]
-)
-def test_an_undecodable_side_input_is_a_located_error(
-    case, tmp_path, golden_copy, monkeypatch, capsys
-):
+
+def _side_input(case, tmp_path, golden_copy, monkeypatch):
+    """Set up an updated index and its store in ``tmp_path``, the working
+    directory. Returns the command that reads the side input ``case``, the
+    file that input goes in, and the exit code of a bad input."""
     monkeypatch.chdir(tmp_path)
     changes = tmp_path / "changes.txt"
     changes.write_text("M\tauth.go\n", encoding="utf-8")
@@ -466,9 +496,8 @@ def test_an_undecodable_side_input_is_a_located_error(
     drafts.mkdir()
     good = tmp_path / "good.txt"
     good.write_text("a.go\n", encoding="utf-8")
-    bad = {"draft": drafts / "auth.go.entry.txt", "store": store}.get(case, tmp_path / "bad.txt")
-    bad.write_bytes(_UNDECODABLE)
-    index, name = str(golden_copy), str(bad)
+    path = {"draft": drafts / "auth.go.entry.txt", "store": store}.get(case, tmp_path / "bad.txt")
+    index, name = str(golden_copy), str(path)
     argv, code = {
         "changes": (["update", index, "--changes", name, "--store", str(store)], 1),
         "rules": (["scaffold", str(tmp_path), "--rules", name], 2),
@@ -479,10 +508,24 @@ def test_an_undecodable_side_input_is_a_located_error(
         "draft": (update + ["--drafts", str(drafts)], 1),
         "store": (update, 1),
     }[case]
+    return argv, path, code
+
+
+def _feed(case, path, data, monkeypatch):
+    """Put ``data`` in the side input's file, and on stdin for ``files-stdin``."""
+    path.write_bytes(data)
     if case == "files-stdin":
-        stdin = io.TextIOWrapper(io.BytesIO(_UNDECODABLE), encoding="utf-8")
-        monkeypatch.setattr("sys.stdin", stdin)
-        name = "-"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", _SIDE_INPUTS)
+def test_an_undecodable_side_input_is_a_located_error(
+    case, tmp_path, golden_copy, monkeypatch, capsys
+):
+    argv, bad, code = _side_input(case, tmp_path, golden_copy, monkeypatch)
+    store = tmp_path / "s.tsv"
+    _feed(case, bad, _UNDECODABLE, monkeypatch)
+    name = "-" if case == "files-stdin" else str(bad)
     capsys.readouterr()
     index_before, store_before = golden_copy.read_bytes(), store.read_bytes()
     assert run(argv) == code
@@ -491,6 +534,39 @@ def test_an_undecodable_side_input_is_a_located_error(
     )
     assert golden_copy.read_bytes() == index_before
     assert store.read_bytes() == store_before
+
+
+# A valid input per side input; the store's is the store as the set-up wrote it.
+_VALID_SIDE_INPUT = {
+    "changes": b"M\tauth.go\n",
+    "rules": b"[layer]\n* = W\n[module]\n* = A\n",
+    "files": b"auth.go\nextra.go\n",
+    "files-stdin": b"auth.go\nextra.go\n",
+    "pred": b"a.go\nb.go\n",
+    "truth": b"a.go\n",
+    "draft": b"auth.go[WA9JM]: F:revised | R:pkg/jwt | A:- | S:revised synopsis\n",
+}
+
+
+@pytest.mark.parametrize("case", _SIDE_INPUTS)
+def test_a_side_input_may_start_with_a_byte_order_mark(
+    case, tmp_path, golden_copy, monkeypatch, capsys
+):
+    argv, path, _ = _side_input(case, tmp_path, golden_copy, monkeypatch)
+    store = tmp_path / "s.tsv"
+    index_before, store_before = golden_copy.read_bytes(), store.read_bytes()
+    data = _VALID_SIDE_INPUT.get(case, store_before)
+    outcomes = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        golden_copy.write_bytes(index_before)
+        store.write_bytes(store_before)
+        _feed(case, path, prefix + data, monkeypatch)
+        capsys.readouterr()
+        code = run(argv)
+        out, err = capsys.readouterr()
+        outcomes.append((code, out, err, golden_copy.read_bytes(), store.read_bytes()))
+    assert outcomes[0][0] == 0
+    assert outcomes[1] == outcomes[0]
 
 
 def test_update_cli_pending_without_draft(tmp_path, golden_copy, capsys):
@@ -1042,3 +1118,88 @@ def test_streaming_changes_no_bytes(seed, block_lines, mutation):
         stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
         with mock.patch.object(sys, "stdin", stdin):
             assert _quiet_run(["fmt", "-", "--verify"]) == want
+
+
+def _work_files() -> dict[str, bytes]:
+    """A working directory holding every input some command reads."""
+    index = GOLDEN.read_bytes()
+    auth = b'package middleware\nimport "myapp/pkg/jwt"\n'
+    auth_entry = parse_index(index).entry_map()["auth.go"]
+    store = StalenessStore(
+        {"auth.go": (content_digest(auth), entry_digest(auth_entry))},
+        index_digest=content_digest(index),
+    )
+    return {
+        "idx.aoci": index,
+        "auth.go": auth,
+        "store.tsv": store.dump().encode("utf-8"),
+        "changes.txt": b"M\tauth.go\nR100\tconfig.yaml\tconf/config.yaml\n",
+        "drafts/auth.go.entry.txt": LISTING_AUTH.replace("S:", "S:revised ").encode("utf-8"),
+        "files.txt": b"auth.go\nconfig.yaml\nextra.go\n",
+        "pred.txt": b"JWT\nuser_id\n",
+        "truth.txt": b"jwt\n",
+        "rules.txt": b'[layer]\n* = W\n[module]\n* = A\n[imports.go]\nq = ^import "([^"]+)"$\n',
+        "repo/main.go": b'package main\nimport "repo/pkg"\n',
+        "repo/pkg/pkg.go": b"package pkg\n",
+    }
+
+
+_WORK_FILES = _work_files()
+
+# Each command, and the files of _WORK_FILES it reads.
+_COMMANDS = {
+    "check": (
+        ["check", "idx.aoci", "--files", "files.txt", "--report", "report.json"],
+        ["idx.aoci", "files.txt"],
+    ),
+    "fmt": (["fmt", "idx.aoci", "--verify"], ["idx.aoci"]),
+    "stats": (["stats", "idx.aoci", "--loc", "900", "--records", "stats.json"], ["idx.aoci"]),
+    "ablate": (["ablate", "idx.aoci", "--variant", "wo-R"], ["idx.aoci"]),
+    "decode-tag": (["decode-tag", "WA9JM", "--index", "idx.aoci"], ["idx.aoci"]),
+    "score": (
+        ["score", "what", "--pred", "pred.txt", "--truth", "truth.txt"],
+        ["pred.txt", "truth.txt"],
+    ),
+    "scaffold": (["scaffold", "repo", "--rules", "rules.txt"], ["rules.txt"]),
+    "update": (
+        ["update", "idx.aoci", "--changes", "changes.txt", "--drafts", "drafts",
+         "--store", "store.tsv"],
+        ["idx.aoci", "changes.txt", "drafts/auth.go.entry.txt", "store.tsv"],
+    ),
+    "detect": (
+        ["update", "idx.aoci", "--detect", "--store", "store.tsv", "--drafts", "drafts"],
+        ["idx.aoci", "store.tsv", "drafts/auth.go.entry.txt"],
+    ),
+}
+
+
+# The streaming mutations, plus noise spliced in and a cut.
+_INPUT_MUTATIONS = {
+    **_MUTATIONS,
+    "splice noise": lambda data, rng: splice_noise(rng, data),
+    "cut": lambda data, rng: data[: rng.randrange(len(data))],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(_COMMANDS)),
+    st.integers(0, 3),
+    st.sampled_from(sorted(_INPUT_MUTATIONS)),
+    st.integers(0, 2**32),
+)
+def test_no_mutated_input_ends_a_command_in_a_traceback(command, which, mutation, seed):
+    argv, inputs = _COMMANDS[command]
+    target = inputs[which % len(inputs)]
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as patch:
+        for name, data in _WORK_FILES.items():
+            path = Path(work, name)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(_INPUT_MUTATIONS[mutation](data, rng) if name == target else data)
+        patch.chdir(work)
+        before = [Path(work, name).read_bytes() for name in ("idx.aoci", "store.tsv")]
+        code = _quiet_run(argv)  # an exception escaping run fails the test
+        assert code in list(ExitCode)
+        if code != ExitCode.OK:
+            assert [Path(work, name).read_bytes() for name in ("idx.aoci", "store.tsv")] == before

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import (
     UNREADABLE,
     WALK_GLOB_SETS,
+    all_files,
     make_folded_walk_tree,
     make_index,
     make_reference_dictionary,
@@ -28,7 +29,6 @@ from aoci import incremental, scaffold, tree
 from aoci.errors import InvariantError, PlanMismatch
 from aoci.grammar import (
     ParseError,
-    code_line_fields,
     decode_table_tag,
     decode_tag,
     parse_code_entry_line,
@@ -59,7 +59,7 @@ from aoci.model import (
     Index,
     TableEntry,
 )
-from aoci.validator import validate_index
+from aoci.validator import check_coverage, validate_index
 
 
 def test_parse_changeset_examples():
@@ -468,6 +468,13 @@ def folded_tree(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def walk_tree(tmp_path_factory):
+    root = tmp_path_factory.mktemp("plain")
+    make_walk_tree(root)
+    return root
+
+
 # Glob pieces: wildcards, classes, separators, a backslash, letters and names
 # of the folded walk tree.
 _GLOB_PIECES = st.one_of(
@@ -512,6 +519,22 @@ def test_the_pruned_walk_matches_a_full_walk_filtered_by_fnmatch(folded_tree, in
     assert (UNREADABLE in dict(walked)) == admitted
     read = [(rel, data) for rel, _, _, data in tree.stat_read(walked)]
     assert read == [(rel, data) for rel, data, _ in reference_walk(folded_tree, include, exclude)]
+
+
+@pytest.mark.skipif(os.sep == "\\", reason="a backslash is a separator on this platform")
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), _GLOBS, _GLOBS)
+def test_coverage_counts_as_eligible_exactly_the_files_the_walk_lists(
+    walk_tree, folded_tree, folded, include, exclude
+):
+    root = folded_tree if folded else walk_tree
+    # An empty glob matches no path, and check_coverage rejects it.
+    include, exclude = [g for g in include if g], [g for g in exclude if g]
+    walked = [rel for rel, _ in tree.walk_files(root, include, exclude)]
+    index = Index(Header(dictionary=make_reference_dictionary()))
+    coverage = check_coverage(index, all_files(root), include, exclude)
+    assert coverage.eligible_files == len(walked)
+    assert list(coverage.unindexed) == walked
 
 
 def test_store_round_trip_with_index_digest():
@@ -701,8 +724,8 @@ def test_apply_lines_parses_only_the_touched_lines(monkeypatch):
     parsed = []
     monkeypatch.setattr(
         incremental,
-        "code_line_fields",
-        lambda line, dictionary: parsed.append(line) or code_line_fields(line, dictionary),
+        "parse_code_entry_line",
+        lambda line, dictionary: parsed.append(line) or parse_code_entry_line(line, dictionary),
     )
     draft = _entry("m30.go: F:new | R:- | A:- | S:s")
     updated = apply_lines(lines, plan, {"m30.go": draft})

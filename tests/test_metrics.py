@@ -173,3 +173,19 @@ def test_stats_renderings(listing_index):
     records = stats_records(stats)
     assert records["total_code_entries"] == 7
     assert records["per_importance"] == {"7": 4, "9": 3}
+
+
+def test_stats_records_hold_every_field_of_index_stats(listing_index):
+    import dataclasses
+
+    from aoci.metrics import IndexStats, stats_records
+
+    stats = index_stats(listing_index, repo_loc=500)
+    records = stats_records(stats)
+    assert list(records) == [field.name for field in dataclasses.fields(IndexStats)]
+    for name, value in records.items():
+        held = getattr(stats, name)
+        if isinstance(held, dict):
+            assert list(value.items()) == [(str(k), v) for k, v in sorted(held.items())]
+        else:
+            assert value == held

@@ -111,6 +111,12 @@ def test_parse_rules_file_rejects(bad):
         parse_rules_file(bad)
 
 
+def test_an_import_group_that_takes_no_part_in_a_match_names_no_import():
+    rules = parse_rules_file('[layer]\n* = W\n[module]\n* = A\n[imports.go]\nq = ^import "(\\w+)"|^package\n')
+    source = 'package a\nimport "b"\n'
+    assert extract_relations("a.go", source, ["a.go", "b.go"], rules.patterns_for(".go")) == ["b"]
+
+
 @pytest.mark.parametrize(
     "rules_text",
     [

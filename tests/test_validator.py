@@ -172,6 +172,15 @@ def test_coverage_globs(reference_dictionary):
     assert report.indexed_files == 1
 
 
+def test_coverage_leaves_hidden_paths_out(reference_dictionary):
+    # The walk's rule: a path with a segment that starts with a dot is hidden.
+    index = Index(Header(dictionary=reference_dictionary), (CodeEntry(path="a.go"),))
+    files = ["a.go", ".github/ci.go", "src/.hidden.go", "x/.cache/y.go", ".env", "b.go", "./c.go"]
+    report = check_coverage(index, files)
+    assert report.eligible_files == 3
+    assert report.unindexed == ("b.go", "c.go")
+
+
 def test_coverage_rejects_bad_glob(reference_dictionary):
     index = Index(Header(dictionary=reference_dictionary))
     with pytest.raises(ConfigError):
