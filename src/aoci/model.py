@@ -5,9 +5,9 @@ invariants, and "mutation" means building a new value (``dataclasses.replace``
 works on all of them). Checks that need a tag dictionary, such as tag decode
 consistency, run when an :class:`Index` is assembled.
 
-Path policy: repository-relative, ``'/'`` separators, no leading ``'./'``,
-compared case-sensitively. ``canonical_path`` is the single normalization
-point and is idempotent.
+Path policy: repository-relative, ``'/'`` separators, no leading or inner
+``'./'``, compared case-sensitively. ``canonical_path`` is the single
+normalization point and is idempotent.
 """
 
 from __future__ import annotations
@@ -42,19 +42,19 @@ _REF_FORBIDDEN = re.compile(r"[|,\s]")
 
 
 def canonical_path(raw: str) -> str:
-    """Normalize a path: '/' separators, no leading './', no doubled '/'.
+    """Normalize a path: '/' separators, no leading './', no '//' or '/./'.
 
     Raises:
         InvalidPath: if ``raw`` is empty or normalizes to the empty string.
     """
     # Paths already canonical, the common case, come back as they are.
-    if raw and "\\" not in raw and "//" not in raw and not raw.startswith("./"):
+    if raw and "\\" not in raw and "//" not in raw and "/./" not in raw and not raw.startswith("./"):
         return raw
     if not raw:
         raise InvalidPath("empty path")
     path = raw.replace("\\", "/")
-    while "//" in path:
-        path = path.replace("//", "/")
+    while "//" in path or "/./" in path:
+        path = path.replace("//", "/").replace("/./", "/")
     while path.startswith("./"):
         path = path[2:]
     if not path:

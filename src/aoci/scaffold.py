@@ -48,11 +48,12 @@ from __future__ import annotations
 import os
 import posixpath
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fnmatch import fnmatchcase
 from typing import Callable, Iterable, Mapping
 
 from .errors import ConfigError
+from .grammar import ParseError, decode_utf8, encode_tag, serialize_code_entry, serialize_header
 from .model import (
     CodeEntry,
     DecodedTag,
@@ -62,7 +63,7 @@ from .model import (
     canonical_path,
     is_ascii_int,
 )
-from .tree import stat_read, walk_files
+from .tree import read_file, stat_read, walk_files
 # resolves_to is unused here; perfbench/spans.py patches aoci.scaffold.resolves_to by name.
 from .validator import DEFAULT_BUDGETS, RefResolver, budget_for, resolves_to  # noqa: F401
 
@@ -290,65 +291,65 @@ class ScannedFile:
     loc: int
     ext: str
     fs_path: str
+    modules: tuple[str, ...]  # what the import patterns for ``ext`` captured
 
 
 def scan_repo(
     root: str | os.PathLike[str],
+    rules: ScaffoldRules,
     include_globs: Iterable[str] = ("*",),
     exclude_globs: Iterable[str] = (),
 ) -> list[ScannedFile]:
-    """List the files ``tree.walk_files`` finds, with line counts, in walk order.
+    """List the files ``tree.walk_files`` finds, in walk order, with what
+    drafting needs of each file's bytes: its line count, and the module
+    strings that ``rules``' import patterns for its extension capture, in
+    line and pattern order.
 
     Each file is read once by ``tree.stat_read``, from the filesystem path
-    the walk found, which ``ScannedFile.fs_path`` carries on to the later
-    reads. Unreadable files are skipped with a logged warning; a root that
-    is not a directory raises OSError.
+    the walk found, which ``ScannedFile.fs_path`` carries on to the pack
+    read. The bytes are decoded by ``grammar.decode_utf8``, so a leading
+    byte order mark is dropped; content that is not UTF-8 captures nothing.
+    Unreadable files are skipped with a logged warning; a root that is not
+    a directory raises OSError.
     """
-    return [
-        ScannedFile(
-            path=rel,
-            loc=len(data.splitlines()),
-            ext=os.path.splitext(fs_path)[1].lower(),
-            fs_path=fs_path,
-        )
-        for rel, fs_path, _, data in stat_read(walk_files(root, include_globs, exclude_globs))
-    ]
+    files = []
+    one_copy: dict[str, str] = {}  # most module strings recur across files
+    for rel, fs_path, _, data in stat_read(walk_files(root, include_globs, exclude_globs)):
+        ext = os.path.splitext(fs_path)[1].lower()
+        modules = _captures(data, rules.patterns_for(ext), one_copy)
+        files.append(ScannedFile(rel, len(data.splitlines()), ext, fs_path, modules))
+    return files
 
 
-def extract_relations(
-    path: str,
-    file_text: str | bytes,
-    repo_paths: Iterable[str] | RefResolver,
-    patterns: Iterable[re.Pattern[str]] | None = None,
-) -> list[str]:
-    """Map import statements in ``file_text`` to in-repo references.
+def _captures(
+    data: bytes, patterns: tuple[re.Pattern[str], ...], one_copy: dict[str, str]
+) -> tuple[str, ...]:
+    if not patterns:
+        return ()
+    try:
+        text = decode_utf8(data)
+    except ParseError:
+        return ()
+    return tuple(
+        one_copy.setdefault(module, module)
+        for line in text.split("\n")
+        for pattern in patterns
+        for match in pattern.finditer(line)
+        if (module := match.group(1))  # a group that took no part in the match is None
+    )
 
-    Each captured module string is trimmed from the left, one path segment
-    at a time, until a candidate matches a repo path, a directory prefix, or
-    a path sans extension; the first (longest) hit becomes the reference.
-    Imports that never match, or that only name the file's own package, are
-    dropped. Binary content yields no relations.
+
+def extract_relations(path: str, modules: Iterable[str], resolver: RefResolver) -> list[str]:
+    """Map the module strings ``scan_repo`` captured for ``path`` to in-repo
+    references, first occurrence first.
+
+    Each module string is trimmed from the left, one path segment at a time,
+    until a candidate matches a repo path, a directory prefix, or a path
+    sans extension; the first (longest) hit becomes the reference. Imports
+    that never match, or that only name the file's own package, are dropped.
     """
-    if isinstance(file_text, bytes):
-        try:
-            file_text = file_text.decode("utf-8")
-        except UnicodeDecodeError:
-            return []
-    if patterns is None:
-        patterns = DEFAULT_IMPORT_PATTERNS.get(os.path.splitext(path)[1].lower(), ())
-    resolver = repo_paths if isinstance(repo_paths, RefResolver) else RefResolver(repo_paths)
-
-    refs: list[str] = []
-    seen: set[str] = set()
-    for line in file_text.split("\n"):
-        for pattern in patterns:
-            for match in pattern.finditer(line):
-                # A group that took no part in the match captures None.
-                ref = _resolve_import(match.group(1) or "", path, resolver)
-                if ref and ref not in seen:
-                    seen.add(ref)
-                    refs.append(ref)
-    return refs
+    refs = (_resolve_import(module, path, resolver) for module in modules)
+    return list(dict.fromkeys(ref for ref in refs if ref))
 
 
 def _resolve_import(module: str, importer: str, resolver: RefResolver) -> str | None:
@@ -356,7 +357,10 @@ def _resolve_import(module: str, importer: str, resolver: RefResolver) -> str | 
     if not module:
         return None
     if importer.endswith(".py") and "/" not in module:
-        module = module.replace(".", "/")
+        # n leading dots name the importer's package and n - 1 levels above it.
+        rest = module.lstrip(".")
+        dots = len(module) - len(rest)
+        module = ("./" + "../" * (dots - 1) if dots else "") + rest.replace(".", "/")
     if module.startswith("."):
         base = posixpath.dirname(importer)
         module = posixpath.normpath(posixpath.join(base, module))
@@ -416,8 +420,6 @@ def draft_entry(
             features=(),
             scale=rules.scale_for(loc),
         )
-        from .grammar import encode_tag
-
         tag = encode_tag(decoded)
     else:
         missing = []
@@ -465,23 +467,14 @@ def scaffold_repo(
     Entries are ordered by path.
     """
     root = os.fspath(root)
-    files = scan_repo(root, include_globs, exclude_globs)
+    files = scan_repo(root, rules, include_globs, exclude_globs)
     paths = [item.path for item in files]
     resolver = RefResolver(paths)
 
     relations: dict[str, list[str]] = {}
-    for item in files:
-        patterns = rules.patterns_for(item.ext)
-        if not patterns:
-            relations[item.path] = []
-            continue
-        try:
-            with open(item.fs_path, "rb") as handle:
-                data = handle.read()
-        except OSError:
-            relations[item.path] = []
-            continue
-        relations[item.path] = extract_relations(item.path, data, resolver, patterns)
+    for i, item in enumerate(files):
+        relations[item.path] = extract_relations(item.path, item.modules, resolver)
+        files[i] = replace(item, modules=())  # the captures end with their resolution
 
     fan_in = _fan_in_counts(paths, relations, resolver)
     ranking = sorted(paths, key=lambda p: (-fan_in[p], p))
@@ -565,8 +558,6 @@ def emit_prompt_pack(
     Returns the paths of drafts whose source is gone; they are skipped
     instead of failing the batch.
     """
-    from .grammar import serialize_code_entry, serialize_header
-
     dictionary_text = serialize_header(index.header)
     skipped: list[str] = []
     for draft in drafts:
@@ -622,8 +613,7 @@ def file_source_loader(fs_paths: Mapping[str, str]) -> Callable[[str], str | Non
         if fs_path is None:
             return None
         try:
-            with open(fs_path, "rb") as handle:
-                return handle.read().decode("utf-8", errors="replace")
+            return read_file(fs_path).decode("utf-8", errors="replace")
         except OSError:
             return None
 

@@ -4,12 +4,14 @@ Drafting (``scaffold``), coverage checking and digesting for ``update``
 (``--detect`` and ``--changes``) must see the same files in the same way,
 or the index drifts from the code it describes. So the rule lives here
 alone, in one predicate (``eligible``), one walker (``walk_files``) and one
-reader (``stat_read``):
+reader (``read_file``, which ``stat_read`` loops over):
 
 - a canonical path is eligible when none of its segments starts with a
   dot, and some include glob but no exclude glob matches it, with ``*``
   crossing ``/``; ``check --files`` counts its list by the same predicate;
-- files come out in lexicographic canonical-path order.
+- files come out in lexicographic canonical-path order;
+- every repository file is opened here: ``scaffold`` reads each file once
+  before drafting, and once more for its prompt pack.
 
 A walked file has two paths. The canonical path is the index's name for it
 (``/``-separated, ``\\`` folded to ``/``); the filesystem path is where the
@@ -131,7 +133,8 @@ def _skip_unreadable(rel: str, exc: OSError) -> None:
     logging.getLogger(__name__).warning("skipping unreadable file %s: %s", rel, exc)
 
 
-def _read_file(fs_path: str) -> bytes:
+def read_file(fs_path: str) -> bytes:
+    """The bytes of the file at ``fs_path``, a path ``walk_files`` returned."""
     with open(fs_path, "rb") as handle:
         return handle.read()
 
@@ -141,7 +144,7 @@ def stat_read(
     unchanged: Callable[[str, os.stat_result], bool] | None = None,
 ) -> Iterator[tuple[str, str, os.stat_result, bytes | None]]:
     """Yield ``(canonical path, filesystem path, stat, bytes or None)`` per
-    file of ``pairs``; this is the one loop that reads repository files.
+    file of ``pairs``: the loop that reads a tree for drafting and digesting.
 
     ``pairs`` are ``(canonical path, filesystem path)`` pairs as
     ``walk_files`` lists them. Each file is stat'ed by path before it is
@@ -153,7 +156,7 @@ def stat_read(
     for rel, fs_path in pairs:
         try:
             st = os.stat(fs_path)
-            data = None if unchanged is not None and unchanged(rel, st) else _read_file(fs_path)
+            data = None if unchanged is not None and unchanged(rel, st) else read_file(fs_path)
         except OSError as exc:
             _skip_unreadable(rel, exc)
             continue

@@ -190,6 +190,15 @@ def test_check_coverage_output(tmp_path, capsys):
     assert "orphan entry: model/org/org.go" in out
 
 
+def test_check_files_folds_an_inner_dot_segment(tmp_path, capsys):
+    files = tmp_path / "files.txt"
+    files.write_text("auth.go\nmodel/./org/org.go\npkg/jwt/jwt.go\n", encoding="utf-8")
+    assert run(["check", str(GOLDEN), "--files", str(files)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "coverage: 3/3 eligible files indexed" in out
+    assert "orphan entry: model/org/org.go" not in out
+
+
 def test_check_files_leaves_out_its_own_index(tmp_path, golden_copy, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     files = tmp_path / "files.txt"

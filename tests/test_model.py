@@ -28,6 +28,8 @@ from aoci.model import (
         ("./config.yaml", "config.yaml"),
         ("a//b.ts", "a/b.ts"),
         ("././x", "x"),
+        ("model/./org/org.go", "model/org/org.go"),
+        ("a/././b/.//./c", "a/b/c"),
         ("plain.go", "plain.go"),
     ],
 )

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import builtins
 import os
 import random
+import sys
+from collections import Counter
 from fnmatch import fnmatchcase
 from glob import escape as glob_escape
 
@@ -28,7 +31,7 @@ from aoci.scaffold import (
     scan_repo,
 )
 from aoci.tree import any_glob
-from aoci.validator import has_errors, validate_index
+from aoci.validator import RefResolver, has_errors, validate_index
 
 RULES_TEXT = """\
 # fixture rules
@@ -71,6 +74,15 @@ def _write(root, path, text):
     target.write_text(text, encoding="utf-8")
 
 
+def _relations(root, path, source, repo, rules=ScaffoldRules()):
+    """The references ``source``, scanned as ``path``, makes into ``repo``."""
+    target = root / path
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_bytes(source if isinstance(source, bytes) else source.encode("utf-8"))
+    (item,) = [item for item in scan_repo(root, rules) if item.path == path]
+    return extract_relations(path, item.modules, RefResolver(repo))
+
+
 @pytest.fixture
 def go_repo(tmp_path):
     _write(
@@ -111,10 +123,10 @@ def test_parse_rules_file_rejects(bad):
         parse_rules_file(bad)
 
 
-def test_an_import_group_that_takes_no_part_in_a_match_names_no_import():
+def test_an_import_group_that_takes_no_part_in_a_match_names_no_import(tmp_path):
     rules = parse_rules_file('[layer]\n* = W\n[module]\n* = A\n[imports.go]\nq = ^import "(\\w+)"|^package\n')
     source = 'package a\nimport "b"\n'
-    assert extract_relations("a.go", source, ["a.go", "b.go"], rules.patterns_for(".go")) == ["b"]
+    assert _relations(tmp_path, "a.go", source, ["a.go", "b.go"], rules) == ["b"]
 
 
 @pytest.mark.parametrize(
@@ -144,13 +156,13 @@ def test_rules_validation():
 
 
 def test_scan_empty_dir(tmp_path):
-    assert scan_repo(tmp_path) == []
+    assert scan_repo(tmp_path, ScaffoldRules()) == []
 
 
 def test_scan_counts_lines(tmp_path):
     _write(tmp_path, "a.go", "\n".join(f"line {i}" for i in range(120)) + "\n")
     _write(tmp_path, "b.go", "\n".join(f"line {i}" for i in range(10)) + "\n")
-    files = scan_repo(tmp_path)
+    files = scan_repo(tmp_path, ScaffoldRules())
     assert [(f.path, f.loc) for f in files] == [("a.go", 120), ("b.go", 10)]
     assert files[0].ext == ".go"
 
@@ -159,19 +171,19 @@ def test_scan_skips_hidden_and_respects_globs(tmp_path):
     _write(tmp_path, ".git/config", "x\n")
     _write(tmp_path, "src/a.go", "x\n")
     _write(tmp_path, "vendor/b.go", "x\n")
-    files = scan_repo(tmp_path, exclude_globs=("vendor/*",))
+    files = scan_repo(tmp_path, ScaffoldRules(), exclude_globs=("vendor/*",))
     assert [f.path for f in files] == ["src/a.go"]
 
 
 def test_scan_missing_root(tmp_path):
     with pytest.raises(OSError):
-        scan_repo(tmp_path / "nope")
+        scan_repo(tmp_path / "nope", ScaffoldRules())
 
 
 @pytest.mark.parametrize("include, exclude", WALK_GLOB_SETS)
 def test_scan_matches_brute_force_walk(tmp_path, caplog, include, exclude):
     make_walk_tree(tmp_path)
-    got = [(f.path, f.loc, f.ext) for f in scan_repo(tmp_path, include, exclude)]
+    got = [(f.path, f.loc, f.ext) for f in scan_repo(tmp_path, ScaffoldRules(), include, exclude)]
     want = [
         (rel, len(data.splitlines()), os.path.splitext(name)[1].lower())
         for rel, data, name in reference_walk(tmp_path, include, exclude)
@@ -224,41 +236,67 @@ def test_any_glob_on_literal_and_wildcard_globs(globs, name, want):
     assert bool(any_glob(globs)(name)) is want
 
 
-def test_extract_relations_go_module_prefix():
+def test_extract_relations_go_module_prefix(tmp_path):
     repo = ["middleware/auth.go", "pkg/jwt/jwt.go", "model/user/user.go"]
     text = 'package x\n\nimport "myapp/pkg/jwt"\n'
-    assert extract_relations("middleware/auth.go", text, repo) == ["pkg/jwt"]
+    assert _relations(tmp_path, "middleware/auth.go", text, repo) == ["pkg/jwt"]
 
 
-def test_extract_relations_none():
-    assert extract_relations("a.go", "package a\n", ["a.go", "b.go"]) == []
+def test_extract_relations_none(tmp_path):
+    assert _relations(tmp_path, "a.go", "package a\n", ["a.go", "b.go"]) == []
 
 
-def test_extract_relations_drops_external():
+def test_extract_relations_drops_external(tmp_path):
     text = 'import "github.com/gin-gonic/gin"\n'
-    assert extract_relations("a.go", text, ["a.go", "b.go"]) == []
+    assert _relations(tmp_path, "a.go", text, ["a.go", "b.go"]) == []
 
 
-def test_extract_relations_python_dotted():
+def test_extract_relations_python_dotted(tmp_path):
     repo = ["app/db.py", "app/api.py"]
     text = "import app.db\nfrom app.api import handler\n"
-    assert extract_relations("main.py", text, repo) == ["app/db", "app/api"]
+    assert _relations(tmp_path, "main.py", text, repo) == ["app/db", "app/api"]
 
 
-def test_extract_relations_js_relative():
+def test_extract_relations_js_relative(tmp_path):
     repo = ["src/util/format.ts", "src/view.ts"]
     text = "import { fmt } from './util/format'\n"
-    assert extract_relations("src/view.ts", text, repo) == ["src/util/format"]
+    assert _relations(tmp_path, "src/view.ts", text, repo) == ["src/util/format"]
 
 
-def test_extract_relations_binary_is_empty():
-    assert extract_relations("blob.go", b"\xff\xfe\x00", ["a.go"]) == []
+def test_extract_relations_binary_is_empty(tmp_path):
+    assert _relations(tmp_path, "blob.go", b"\xff\xfe\x00", ["a.go"]) == []
 
 
-def test_extract_relations_skips_own_package():
+def test_extract_relations_skips_own_package(tmp_path):
     repo = ["pkg/jwt/jwt.go", "pkg/jwt/keys.go"]
     text = 'import "myapp/pkg/jwt"\n'
-    assert extract_relations("pkg/jwt/keys.go", text, repo) == []
+    assert _relations(tmp_path, "pkg/jwt/keys.go", text, repo) == []
+
+
+_CLASSIFY_ALL = "[layer]\n* = W\n[module]\n* = A\n"
+
+
+def _drafted_refs(root, path):
+    return scaffold_repo(root, parse_rules_file(_CLASSIFY_ALL)).index.entry_map()[path].r
+
+
+def test_a_first_line_import_after_a_byte_order_mark_is_kept(tmp_path):
+    for name in ("app/db.py", "app/api.py"):
+        _write(tmp_path, name, "x = 1\n")
+    (tmp_path / "main.py").write_bytes("\ufeffimport app.db\nimport app.api\n".encode("utf-8"))
+    assert _drafted_refs(tmp_path, "main.py") == ("app/db", "app/api")
+
+
+def test_python_relative_imports_resolve_from_the_importers_package(tmp_path):
+    for name in ("db.py", "lib.py", "app/db.py", "app/api.py", "app/sub/mod.py"):
+        _write(tmp_path, name, "x = 1\n")
+    _write(
+        tmp_path,
+        "app/main.py",
+        "from .db import x\nfrom ..lib import y\nfrom .sub.mod import z\nfrom . import api\n",
+    )
+    # `from . import api` names only the importer's own package: dropped.
+    assert _drafted_refs(tmp_path, "app/main.py") == ("app/db", "lib", "app/sub/mod")
 
 
 def test_draft_entry_top_decile(rules):
@@ -343,6 +381,42 @@ def test_scaffold_extracts_cross_references(go_repo, rules):
     result = scaffold_repo(go_repo, rules)
     entry = result.index.entry_map()["middleware/auth.go"]
     assert entry.r == ("pkg/jwt",)
+
+
+def _count_reads(monkeypatch, root):
+    """Count the opens for reading of each file under ``root``, by the
+    module that opened it: ``(module, canonical path) -> opens``."""
+    reads = Counter()
+    real_open = builtins.open
+    prefix = os.path.join(os.fspath(root), "")
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, str) and file.startswith(prefix) and not set(mode) & set("wax+"):
+            rel = os.path.relpath(file, root).replace(os.sep, "/")
+            reads[sys._getframe(1).f_globals["__name__"], rel] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return reads
+
+
+GO_REPO_FILES = ("config.yaml", "middleware/auth.go", "model/user/user.go", "pkg/jwt/jwt.go")
+
+
+def test_scaffold_repo_reads_each_file_once(go_repo, rules, monkeypatch):
+    reads = _count_reads(monkeypatch, go_repo)
+    scaffold_repo(go_repo, rules)
+    assert reads == {("aoci.tree", path): 1 for path in GO_REPO_FILES}
+
+
+def test_scaffold_with_prompts_reads_each_file_twice(go_repo, tmp_path_factory, monkeypatch):
+    out = tmp_path_factory.mktemp("out")
+    (out / "rules.txt").write_text(RULES_TEXT, encoding="utf-8")
+    reads = _count_reads(monkeypatch, go_repo)
+    argv = ["scaffold", str(go_repo), "--rules", str(out / "rules.txt"), "--out", str(out / "idx")]
+    assert run(argv + ["--prompts", str(out / "packs")]) == 0
+    assert reads == {("aoci.tree", path): 2 for path in GO_REPO_FILES}
+    assert len(list((out / "packs").iterdir())) == len(GO_REPO_FILES)
 
 
 def test_prompt_pack_layout(go_repo, rules):
