@@ -465,31 +465,13 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
             root = os.getcwd()
             own = _own_files(root, [args.store, *_index_files(args.index)])
             digests = incremental.collect_file_digests(root, exclude_globs=own, store=store)
-            # Only the files read can be regenerated: a file the store
-            # vouched for (digest None) matches its row, so it is not reported.
+            # A file the store vouched for (digest None) matches its row, so
+            # it is not reported.
             file_digests = {path: digest for path, digest in digests if digest is not None}
             changes = incremental.detect_stale(store, digests, index)
             del digests
         else:
             changes = incremental.parse_changeset(_read_text(args.changes))
-            if args.store:
-                # Digest the touched files so the store records their current
-                # content; files that are gone simply stay undigested. No
-                # exclude globs: a listed file is digested even if it is the
-                # index or the store.
-                touched = [
-                    glob.escape(path)
-                    for record in changes.records
-                    for path in (record.path, record.new_path)
-                    if path
-                ]
-                # A listed file the store vouched for keeps its recorded digest.
-                file_digests = {
-                    path: digest or store.get(path)[0]
-                    for path, digest in incremental.collect_file_digests(
-                        os.getcwd(), touched, store=store
-                    )
-                }
 
         drafts: dict[str, CodeEntry] = {}
         if args.drafts:
@@ -507,6 +489,22 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
         for warning in plan.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         updated = incremental.apply_lines(index, plan, drafts)
+        if args.store:
+            # commit_plan looks up the drafted and renamed-to paths. With
+            # --changes they are digested now, so the store records their
+            # current content; files that are gone stay undigested. No
+            # exclude globs: such a file is digested even if it is the index
+            # or the store. A file the store vouched for was not read, and
+            # keeps its recorded digest.
+            wanted = [path for path in plan.regenerate if path in drafts]
+            wanted += plan.rename_map.values()
+            if args.changes:
+                found = incremental.collect_file_digests(
+                    os.getcwd(), [glob.escape(path) for path in wanted], store=store
+                )
+            else:  # --detect read every file with a row it did not vouch for
+                found = [(p, None) for p in wanted if p not in file_digests and store.get(p)]
+            file_digests.update((path, digest or store.get(path)[0]) for path, digest in found)
         # The index text is written and hashed a block at a time, never whole.
         index_hash = hashlib.sha256()
 

@@ -59,7 +59,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, islice
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .errors import (
     AmbiguousTag,
@@ -356,20 +356,19 @@ def serialize_index(index: Index) -> str:
 # Scanning canonical text
 # ---------------------------------------------------------------------------
 
-# The path and the R element of a canonical entry line: paths hold no '[' or
-# ':', tags and F hold no '|', and references hold no space.
-_ROW_RE = re.compile(r"([^\[:]+)[^|]*\| R:([^ ]*) \| ")
-
-# A table name, which ends at its tag's '[' or at the ':'.
+# The path of a canonical entry line, or a table name: it ends at the tag's
+# '[' or at the ':'.
 _NAME_RE = re.compile(r"[^\[:]+")
 
 
-class CodeRow(NamedTuple):
-    """One canonical code line, with the path and references read off it."""
+def line_refs(line: str) -> list[str]:
+    """The references of a canonical entry line, read off its R element.
 
-    path: str
-    r: tuple[str, ...]
-    line: str
+    Paths hold no '|', tags and F hold no '|', and one space stands on each
+    side of every '|', so R is the second ``" | "`` field.
+    """
+    refs = line.split(" | ", 2)[1][2:]
+    return [] if refs == EMPTY_SENTINEL else refs.split(",")
 
 
 @dataclass(frozen=True)
@@ -378,18 +377,14 @@ class IndexLines:
 
     ``head`` is the text up to and including the ``@CODE`` line, and
     ``tail`` is the ``@TABLES`` section (empty when there is none).
-    ``code_entries`` holds one ``CodeRow`` per code line, in order. Like the
-    entries of an ``Index``, each row has a ``path`` and an ``r``, so
-    ``plan_update`` and ``detect_stale`` read either.
+    ``rows`` maps each code line's path to the line, in index order; a
+    line's references are read off it by ``line_refs`` when needed.
     """
 
     header: Header
     head: str
-    code_entries: tuple[CodeRow, ...]
+    rows: dict[str, str]
     tail: str
-
-    def code_paths(self) -> frozenset[str]:
-        return frozenset(row.path for row in self.code_entries)
 
     def table_names(self) -> frozenset[str]:
         return frozenset(
@@ -401,9 +396,9 @@ class IndexLines:
         thousand at a time, then the tail. Unchanged rows come out byte for
         byte, and the blocks concatenate to ``text()``."""
         yield self.head
-        rows = self.code_entries
-        for at in range(0, len(rows), _BLOCK_LINES):
-            yield "\n".join(row.line for row in rows[at : at + _BLOCK_LINES]) + "\n"
+        lines = iter(self.rows.values())
+        while block := list(islice(lines, _BLOCK_LINES)):
+            yield "\n".join(block) + "\n"
         if self.tail:
             yield self.tail
 
@@ -414,12 +409,12 @@ class IndexLines:
 
 def scan_index(text: str) -> IndexLines:
     """Cut canonical index text into lines, reading only each code line's
-    path and R, and parse the header.
+    path, and parse the header.
 
     ``text`` must be ``serialize_index`` output: the scan relies on that
-    layout (LF line endings, one space around ``|``, no blank lines) and
-    checks nothing else, so text of unknown origin goes through
-    ``parse_index`` first. The header, the text up to and including
+    layout (LF line endings, one space around ``|``, no blank lines, no
+    path twice) and checks nothing else, so text of unknown origin goes
+    through ``parse_index`` first. The header, the text up to and including
     ``@CODE``, goes through ``parse_header``, which raises its first error.
     ``scan_index(serialize_index(index)).text()`` equals
     ``serialize_index(index)``.
@@ -427,14 +422,9 @@ def scan_index(text: str) -> IndexLines:
     lines = text.split("\n")  # the last item is the empty string after the final LF
     code_at = lines.index("@CODE") + 1
     tables_at = lines.index("@TABLES", code_at) if "@TABLES" in lines else len(lines) - 1
-    rows = []
-    for line in lines[code_at:tables_at]:
-        path, refs = _ROW_RE.match(line).groups()
-        rows.append(
-            CodeRow(path, () if refs == EMPTY_SENTINEL else tuple(refs.split(",")), line)
-        )
+    rows = {_NAME_RE.match(line).group(): line for line in lines[code_at:tables_at]}
     head = "\n".join(lines[:code_at]) + "\n"
-    return IndexLines(parse_header(head), head, tuple(rows), "\n".join(lines[tables_at:]))
+    return IndexLines(parse_header(head), head, rows, "\n".join(lines[tables_at:]))
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,11 @@ text of a validated index, so an update splices the changed lines into them
 (``scan_index``, ``apply_lines``) instead of parsing every entry; any other
 bytes are parsed and validated in full first.
 
-An update is one pass of each step: ``plan_update`` walks the entries once,
-recording rename rewrites and the references left dangling;
+An update is one pass of each step over ``IndexLines.rows``, the map from
+each entry's path to its canonical line: ``plan_update`` reads each line's
+references once (``grammar.line_refs``), recording rename rewrites and the
+references left dangling, and every host left dangling joins the paths to
+regenerate, so the store marks it pending until a draft for it applies;
 ``apply_lines`` is the only applier (``apply_update`` runs it over an
 ``Index``'s canonical text); ``commit_plan`` brings the store in line.
 
@@ -63,10 +66,10 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidPath, InvariantError, PlanMismatch
 from .grammar import (
-    CodeRow,
     IndexLines,
     ParseError,
     ParseErrorKind,
+    line_refs,
     parse_code_entry_line,
     parse_index,
     scan_index,
@@ -168,11 +171,14 @@ def parse_changeset(text: str) -> ChangeSet:
 class UpdatePlan:
     """The minimal index update implied by a change set.
 
-    ``regenerate`` paths need fresh semantic content (added or modified
-    files). ``remove`` paths lose their entry, if any, and their store row.
-    ``ref_rewrites`` hosts are keyed by their pre-rename path;
-    ``dangling_after`` reports post-rename paths, describing the applied
-    index, so it lines up with validator rule E2 afterwards.
+    ``regenerate`` paths need fresh semantic content: added or modified
+    files, and every host ``dangling_after`` names. ``remove`` paths lose
+    their entry, if any, and their store row. ``ref_rewrites`` hosts are
+    keyed by their pre-rename path; ``regenerate`` and ``dangling_after``
+    name post-rename paths, describing the applied index, so a dangling
+    host lines up with validator rule E2 afterwards. A regenerated path may
+    be a rename's old path only when it is also a rename's new path, as in
+    a swap whose moved entry dangles.
     """
 
     regenerate: tuple[str, ...] = ()
@@ -183,13 +189,11 @@ class UpdatePlan:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        groups = [set(self.regenerate), set(self.remove), set(self.rename_map)]
-        for i, left in enumerate(groups):
-            for right in groups[i + 1 :]:
-                if left & right:
-                    raise InvariantError(
-                        f"plan groups overlap on {sorted(left & right)}"
-                    )
+        regenerate, remove, renamed = set(self.regenerate), set(self.remove), set(self.rename_map)
+        moved_away = renamed.difference(self.rename_map.values())
+        for overlap in (regenerate & remove, regenerate & moved_away, remove & renamed):
+            if overlap:
+                raise InvariantError(f"plan groups overlap on {sorted(overlap)}")
         if self.ref_rewrites and not self.rename_map:
             raise InvariantError("ref rewrites are only produced by renames")
 
@@ -198,10 +202,15 @@ class UpdatePlan:
         return not (self.regenerate or self.remove or self.rename_map)
 
 
-def plan_update(index: Index | IndexLines, changes: ChangeSet) -> UpdatePlan:
-    """Compute the minimal plan: entries of unchanged files are never listed
-    anywhere except as rewrite hosts under a rename."""
-    entry_paths = index.code_paths()
+def plan_update(index: IndexLines, changes: ChangeSet) -> UpdatePlan:
+    """Compute the minimal plan: entries of unchanged files are listed only
+    as rewrite hosts under a rename, or as hosts left dangling.
+
+    A host whose reference no longer resolves after the update joins
+    ``regenerate`` under its final path, so ``commit_plan`` marks it pending
+    and a draft for it applies like any other.
+    """
+    rows = index.rows
     regenerate: list[str] = []
     remove: list[str] = []
     rename_map: dict[str, str] = {}
@@ -209,19 +218,19 @@ def plan_update(index: Index | IndexLines, changes: ChangeSet) -> UpdatePlan:
 
     for rec in changes.records:
         if rec.status is ChangeStatus.ADDED:
-            if rec.path in entry_paths:
+            if rec.path in rows:
                 warnings.append(f"added path {rec.path} already has an entry")
             regenerate.append(rec.path)
         elif rec.status is ChangeStatus.MODIFIED:
-            if rec.path not in entry_paths:
+            if rec.path not in rows:
                 warnings.append(f"no entry for modified path {rec.path}")
             regenerate.append(rec.path)
         elif rec.status is ChangeStatus.DELETED:
-            if rec.path not in entry_paths:
+            if rec.path not in rows:
                 warnings.append(f"no entry for deleted path {rec.path}")
             remove.append(rec.path)
         else:
-            if rec.path not in entry_paths:
+            if rec.path not in rows:
                 warnings.append(f"no entry for renamed path {rec.path}; indexing {rec.new_path}")
                 regenerate.append(rec.new_path or rec.path)
             else:
@@ -230,29 +239,28 @@ def plan_update(index: Index | IndexLines, changes: ChangeSet) -> UpdatePlan:
     remove_set = set(remove)
     regen_set = set(regenerate)
     renamed_refs = _rename_lookup(rename_map)
-    final_paths = entry_paths.difference(remove_set, rename_map).union(
-        rename_map.values(), regen_set
+    resolver = RefResolver(
+        (rows.keys() - remove_set - rename_map.keys()).union(rename_map.values(), regen_set)
     )
-    del entry_paths  # not held beside the resolver's sets
-    resolver = RefResolver(final_paths)
     table_names = index.table_names()
     rewrites: list[tuple[str, str, str]] = []
     dangling: list[tuple[str, str]] = []
-    for entry in index.code_entries:
-        if entry.path in remove_set:
+    for path, line in rows.items():
+        if path in remove_set:
             continue
         # A regenerated entry is about to be replaced by a draft, so only its
         # rewrites are recorded.
-        check = entry.path not in regen_set
-        final_host = rename_map.get(entry.path, entry.path)
-        for ref in entry.r:
+        check = path not in regen_set
+        final_host = rename_map.get(path, path)
+        for ref in line_refs(line):
             new_ref = renamed_refs.get(ref)
             if new_ref is not None and new_ref != ref:
-                rewrites.append((entry.path, ref, new_ref))
+                rewrites.append((path, ref, new_ref))
                 ref = new_ref
             if check and not resolver.resolves(ref) and ref not in table_names:
                 dangling.append((final_host, ref))
 
+    regenerate.extend(dict.fromkeys(host for host, _ in dangling))
     return UpdatePlan(
         regenerate=tuple(regenerate),
         remove=tuple(remove),
@@ -455,7 +463,7 @@ def _stat(row: str) -> str:
 def detect_stale(
     store: StalenessStore,
     files: Iterable[tuple[str, str | None]],
-    index: Index | IndexLines,
+    index: IndexLines,
 ) -> ChangeSet:
     """Synthesize a change set by comparing file digests against the store.
 
@@ -468,7 +476,6 @@ def detect_stale(
     seen: dict[str, str | None] = {}
     for path, digest in files:
         seen[canonical_path(path)] = digest
-    entry_paths = index.code_paths()
     records: list[ChangeRecord] = []
     for path in sorted(seen):
         digest = seen[path]
@@ -476,7 +483,7 @@ def detect_stale(
             continue
         known = store.get(path)
         if known is None:
-            status = ChangeStatus.MODIFIED if path in entry_paths else ChangeStatus.ADDED
+            status = ChangeStatus.MODIFIED if path in index.rows else ChangeStatus.ADDED
             records.append(ChangeRecord(status, path))
         elif known[0] != digest:
             records.append(ChangeRecord(ChangeStatus.MODIFIED, path))
@@ -493,10 +500,11 @@ def apply_lines(
 ) -> IndexLines:
     """Apply a plan, substituting supplied drafts for regenerated paths.
 
-    This is the one applier. Only the lines of renamed entries and rewrite
-    hosts are parsed, each into a ``CodeEntry`` rebuilt once per change; they
-    and the drafts are serialized anew, and every other line is kept byte
-    for byte.
+    This is the one applier, and it builds the new rows in one pass. Only
+    the lines of renamed entries and rewrite hosts are parsed, each into a
+    ``CodeEntry`` rebuilt once per change; they and the drafts are
+    serialized anew, and every other line is kept byte for byte. A draft
+    replaces its path's line in place, or is appended.
     ``lines`` must come from ``scan_index`` over canonical text, and the
     result's ``text()`` is ``serialize_index`` of the updated index. The
     errors are those of building an ``Index`` of the result, raised in the
@@ -524,56 +532,60 @@ def apply_lines(
     for host, old_ref, new_ref in plan.ref_rewrites:
         rewrites_by_host.setdefault(host, {})[old_ref] = new_ref
 
-    rows: list[CodeRow] = []
+    rows: dict[str, str] = {}
     remove_set = set(plan.remove)
-    for row in lines.code_entries:
-        if row.path in remove_set:
+    # Paths two rows end on, and how many rows were held when the first one
+    # was met: that error is raised after the rename and draft errors.
+    duplicate_at: int | None = None
+    duplicates: list[str] = []
+    for path, line in lines.rows.items():
+        if path in remove_set:
             continue
-        mapping = rewrites_by_host.get(row.path)
-        new_path = plan.rename_map.get(row.path)
+        mapping = rewrites_by_host.get(path)
+        new_path = plan.rename_map.get(path)
         if mapping or new_path is not None:
-            entry = parse_code_entry_line(row.line, dictionary)
+            entry = parse_code_entry_line(line, dictionary)
             # The rewrite is built under the old path first, so a rejected
             # reference is reported before a rejected path.
             if mapping:
                 entry = dataclasses.replace(entry, r=tuple(mapping.get(r, r) for r in entry.r))
             if new_path is not None:
                 entry = dataclasses.replace(entry, path=new_path)
-            row = _code_row(entry)
-        rows.append(row)
+            path, line = entry.path, serialize_code_entry(entry)
+        if path in rows:
+            if duplicate_at is None:
+                duplicate_at = len(rows)
+            duplicates.append(path)
+        else:
+            rows[path] = line
 
-    by_path = {row.path: i for i, row in enumerate(rows)}
-    drafted: dict[int, CodeEntry] = {}
+    drafted: dict[str, CodeEntry] = {}
     for path in plan.regenerate:
         entry = drafts.get(path)
         if entry is None:
             continue
         if entry.path != path:
-            raise PlanMismatch(
-                f"draft for {path} carries entry path {entry.path}"
-            )
-        slot = by_path.get(path)
-        if slot is None:
-            slot = by_path[path] = len(rows)
-            rows.append(_code_row(entry))
-        else:
-            rows[slot] = _code_row(entry)
-        drafted[slot] = entry
+            raise PlanMismatch(f"draft for {path} carries entry path {entry.path}")
+        rows[path] = serialize_code_entry(entry)
+        drafted[path] = entry
 
-    # The Index invariants. Kept rows, renamed or not, keep a tag that fits
-    # the dictionary, so only drafts need the tag check.
-    seen: set[str] = set()
-    for i, row in enumerate(rows):
-        if row.path in seen:
-            raise InvariantError(f"duplicate code entry path: {row.path}")
-        seen.add(row.path)
-        if i in drafted:
-            check_entry_tag(drafted[i], dictionary)
-    return dataclasses.replace(lines, code_entries=tuple(rows))
-
-
-def _code_row(entry: CodeEntry) -> CodeRow:
-    return CodeRow(entry.path, entry.r, serialize_code_entry(entry))
+    # The Index invariants, in row order. Kept rows, renamed or not, keep a
+    # tag that fits the dictionary, so only drafts need the tag check; a
+    # draft on a path two rows end on sits at the later row.
+    bad_tags: dict[str, InvariantError] = {}
+    for path, entry in drafted.items():
+        try:
+            check_entry_tag(entry, dictionary)
+        except InvariantError as exc:
+            bad_tags[path] = exc
+    if duplicates or bad_tags:
+        for at, path in enumerate(rows):
+            if at == duplicate_at:
+                break
+            if path in bad_tags and path not in duplicates:
+                raise bad_tags[path]
+        raise InvariantError(f"duplicate code entry path: {duplicates[0]}")
+    return dataclasses.replace(lines, rows=rows)
 
 
 def apply_update(
@@ -600,24 +612,22 @@ def commit_plan(
 
     ``file_digests`` supplies content digests where known; only regenerated
     and renamed paths are looked up in it. Regenerated paths without a draft
-    stay pending. The entry digest of a renamed or drafted path is the
-    digest of its line in ``updated``, which is ``entry_digest`` of the
-    entry the line holds.
+    stay pending, and so does a renamed path whose row was pending. The
+    entry digest of a renamed or drafted path is the digest of its line in
+    ``updated``, which is ``entry_digest`` of the entry the line holds.
     """
-    wanted = set(plan.regenerate).union(plan.rename_map.values())
-    lines = {row.path: row.line for row in updated.code_entries if row.path in wanted}
+    rows = updated.rows
     drafted = set(drafted)
-    for path in plan.remove:
+    carried = {old: store.get(old) for old in plan.rename_map}
+    for path in (*plan.remove, *plan.rename_map):
         store.discard(path)
     for old, new in plan.rename_map.items():
-        carried = store.get(old)
-        store.discard(old)
-        line = lines.get(new)
-        if line is not None:
-            content = file_digests.get(new, carried[0] if carried else "")
-            store.set(new, content, content_digest(line.encode("utf-8")))
+        row = carried[old]
+        pending = row is not None and not row[0]
+        content = "" if pending else file_digests.get(new, row[0] if row else "")
+        store.set(new, content, content_digest(rows[new].encode("utf-8")))
     for path in plan.regenerate:
-        line = lines.get(path)
+        line = rows.get(path)
         if path in drafted and line is not None:
             store.set(path, file_digests.get(path, ""), content_digest(line.encode("utf-8")))
         else:

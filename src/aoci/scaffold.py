@@ -84,7 +84,7 @@ DEFAULT_IMPORTANCE_QUANTILES = (
 DEFAULT_IMPORT_PATTERNS: dict[str, tuple[re.Pattern[str], ...]] = {
     ".go": (
         re.compile(r'^\s*import\s+(?:\w+\s+)?"([^"]+)"'),
-        re.compile(r'^\s*(?:\w+\s+)?"([^"]+)"\s*$'),
+        re.compile(r'^\s*(?!import\b)(?:\w+\s+)?"([^"]+)"\s*$'),
     ),
     ".py": (
         re.compile(r"^\s*import\s+([\w.]+)"),

@@ -12,7 +12,14 @@ import pytest
 from hypothesis import settings
 
 from aoci.errors import AmbiguousTag, InvalidImportance, MalformedTag, UnknownCode
-from aoci.grammar import decode_table_tag, parse_code_entry_line, parse_index
+from aoci.grammar import (
+    IndexLines,
+    decode_table_tag,
+    parse_code_entry_line,
+    parse_index,
+    scan_index,
+    serialize_index,
+)
 from aoci.model import (
     CodeEntry,
     DecodedTag,
@@ -283,6 +290,11 @@ def reference_decode(tag: str, dictionary: TagDictionary) -> DecodedTag:
             return DecodedTag(heads[0], head[len(heads[0]) :], importance, features[0], scale)
     reached = max(i for i in range(len(tail) + 1) if splits(tail[:i]))
     raise UnknownCode("D", tail[reached:])
+
+
+def index_lines(index: Index) -> IndexLines:
+    """The rows ``update`` works on, for an ``Index`` built in a test."""
+    return scan_index(serialize_index(index))
 
 
 # ---------------------------------------------------------------------------

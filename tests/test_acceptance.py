@@ -17,6 +17,7 @@ from conftest import (
     LISTING_LINES,
     LISTING_ORG,
     USERS_TABLE_LINE,
+    index_lines,
     make_decoded,
     make_dictionary,
     make_index,
@@ -147,7 +148,7 @@ def test_criterion_3_incremental_touch_count():
         changes = ChangeSet(
             tuple(ChangeRecord(ChangeStatus.MODIFIED, path) for path in chosen)
         )
-        updated = apply_update(index, plan_update(index, changes), drafts)
+        updated = apply_update(index, plan_update(index_lines(index), changes), drafts)
         before = serialize_index(index).splitlines()
         after = serialize_index(updated).splitlines()
         assert len(before) == len(after)
@@ -396,8 +397,9 @@ def test_scale_plan_400_renames_over_20k_entries():
         )
     )
 
+    lines = index_lines(index)
     budget = _Budget(2.0)
-    plan = plan_update(index, changes)
+    plan = plan_update(lines, changes)
     elapsed = budget.check()
     # Each renamed file is named once exactly and once without its extension.
     assert len(plan.ref_rewrites) == 800
@@ -496,7 +498,7 @@ def test_update_with_a_matching_digest_builds_only_touched_entries(tmp_path, mon
         (draft_dir / f"{k}.entry.txt").write_text(line + "\n")
 
     changes = parse_changeset("\n".join(listing))
-    plan = plan_update(index, changes)
+    plan = plan_update(index_lines(index), changes)
     drafts = {e.path: e for e in (parse_code_entry_line(l, dictionary) for l in draft_lines)}
     expected = serialize_index(reference_apply_update(index, plan, drafts)).encode("utf-8")
     hosts = {host for host, _, _ in plan.ref_rewrites}

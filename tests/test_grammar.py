@@ -33,6 +33,7 @@ from aoci.grammar import (
     decode_table_tag,
     decode_tag,
     encode_tag,
+    line_refs,
     parse_code_entry_line,
     parse_header,
     parse_index,
@@ -634,13 +635,12 @@ def test_scan_index_reads_canonical_text(seed, n_entries, n_tables):
     lines = scan_index(text)
     assert lines.text() == text
     assert lines.header == index.header
-    assert [(row.path, row.r) for row in lines.code_entries] == [
-        (entry.path, entry.r) for entry in index.code_entries
+    assert lines.rows == {
+        entry.path: serialize_code_entry(entry) for entry in index.code_entries
+    }
+    assert [line_refs(line) for line in lines.rows.values()] == [
+        list(entry.r) for entry in index.code_entries
     ]
-    assert [row.line for row in lines.code_entries] == [
-        serialize_code_entry(entry) for entry in index.code_entries
-    ]
-    assert lines.code_paths() == index.code_paths()
     assert lines.table_names() == index.table_names()
 
 
@@ -655,6 +655,7 @@ def test_scan_index_reads_untagged_and_residual_lines(reference_dictionary):
     )
     assert serialize_index(parse_index(text)) == text
     lines = scan_index(text)
-    assert [(row.path, row.r) for row in lines.code_entries] == [("x", ()), ("y/z.go", ("-x", "d"))]
+    assert list(lines.rows) == ["x", "y/z.go"]
+    assert [line_refs(line) for line in lines.rows.values()] == [[], ["-x", "d"]]
     assert lines.text() == text
     assert lines.table_names() == frozenset({"users"})

@@ -21,6 +21,7 @@ from conftest import (
     make_folded_walk_tree,
     make_index,
     make_reference_dictionary,
+    index_lines,
     make_walk_tree,
     reference_apply_update,
     reference_walk,
@@ -104,7 +105,7 @@ def test_parse_changeset_errors_located(text, line):
 
 def test_plan_modified_touches_only_that_entry(listing_index):
     changes = parse_changeset("M\tauth.go")
-    plan = plan_update(listing_index, changes)
+    plan = plan_update(index_lines(listing_index), changes)
     assert plan.regenerate == ("auth.go",)
     assert plan.remove == ()
     assert plan.rename_map == {}
@@ -114,9 +115,11 @@ def test_plan_modified_touches_only_that_entry(listing_index):
 
 
 def test_plan_delete_reports_dangling_ref(listing_index):
-    plan = plan_update(listing_index, parse_changeset("D\tmodel/user/user.go"))
+    plan = plan_update(index_lines(listing_index), parse_changeset("D\tmodel/user/user.go"))
     assert plan.remove == ("model/user/user.go",)
     assert ("auth.go", "model/user") in plan.dangling_after
+    # The host left dangling goes pending: it is regenerated.
+    assert plan.regenerate == ("auth.go",)
     # Confirm against the validator: applying the plan makes E2 fire there.
     updated = apply_update(listing_index, plan)
     e2 = [
@@ -128,13 +131,14 @@ def test_plan_delete_reports_dangling_ref(listing_index):
 
 
 def test_empty_changeset_empty_plan(listing_index):
-    plan = plan_update(listing_index, ChangeSet())
+    plan = plan_update(index_lines(listing_index), ChangeSet())
     assert plan.empty
     assert apply_update(listing_index, plan) == listing_index
 
 
 def test_plan_missing_entry_warns(listing_index):
-    plan = plan_update(listing_index, parse_changeset("M\tnot/indexed.go\nD\talso/gone.go"))
+    changes = parse_changeset("M\tnot/indexed.go\nD\talso/gone.go")
+    plan = plan_update(index_lines(listing_index), changes)
     assert len(plan.warnings) == 2
     assert plan.regenerate == ("not/indexed.go",)
     # The unindexed deletion is removed all the same, so commit_plan drops
@@ -145,7 +149,7 @@ def test_plan_missing_entry_warns(listing_index):
 
 def test_apply_remove_keeps_other_lines_byte_identical(listing_index):
     before = serialize_index(listing_index).splitlines()
-    plan = plan_update(listing_index, parse_changeset("D\tconfig.yaml"))
+    plan = plan_update(index_lines(listing_index), parse_changeset("D\tconfig.yaml"))
     updated = apply_update(listing_index, plan)
     after = serialize_index(updated).splitlines()
     assert len(after) == len(before) - 1
@@ -157,7 +161,7 @@ def test_apply_rename_rewrites_exact_refs(reference_dictionary):
     a = parse_code_entry_line("a.go[WA9M]: F:left | R:- | A:- | S:s", reference_dictionary)
     c = parse_code_entry_line("c.go[WA9M]: F:uses | R:a.go | A:- | S:s", reference_dictionary)
     index = Index(Header(dictionary=reference_dictionary), (a, c))
-    plan = plan_update(index, parse_changeset("R100\ta.go\tb.go"))
+    plan = plan_update(index_lines(index), parse_changeset("R100\ta.go\tb.go"))
     assert plan.rename_map == {"a.go": "b.go"}
     assert plan.ref_rewrites == (("c.go", "a.go", "b.go"),)
     updated = apply_update(index, plan)
@@ -176,7 +180,7 @@ def test_rename_rewrites_sans_extension_refs(reference_dictionary):
     a = parse_code_entry_line("pkg/a.go[WA9M]: F:x | R:- | A:- | S:s", reference_dictionary)
     c = parse_code_entry_line("c.go[WA9M]: F:y | R:pkg/a | A:- | S:s", reference_dictionary)
     index = Index(Header(dictionary=reference_dictionary), (a, c))
-    plan = plan_update(index, parse_changeset("R90\tpkg/a.go\tpkg/b.go"))
+    plan = plan_update(index_lines(index), parse_changeset("R90\tpkg/a.go\tpkg/b.go"))
     assert plan.ref_rewrites == (("c.go", "pkg/a", "pkg/b"),)
 
 
@@ -185,10 +189,41 @@ def test_rename_leaves_directory_prefix_refs_alone(reference_dictionary):
     b = parse_code_entry_line("pkg/jwt/b.go[WA9M]: F:x | R:- | A:- | S:s", reference_dictionary)
     c = parse_code_entry_line("c.go[WA9M]: F:y | R:pkg/jwt | A:- | S:s", reference_dictionary)
     index = Index(Header(dictionary=reference_dictionary), (a, b, c))
-    plan = plan_update(index, parse_changeset("R90\tpkg/jwt/a.go\tpkg/token/a.go"))
+    plan = plan_update(index_lines(index), parse_changeset("R90\tpkg/jwt/a.go\tpkg/token/a.go"))
     # The directory still resolves through b.go, so nothing rewrites or dangles.
     assert plan.ref_rewrites == ()
     assert plan.dangling_after == ()
+
+
+def test_a_swap_regenerates_its_moved_entry_when_that_entry_dangles(reference_dictionary):
+    entries = (
+        parse_code_entry_line(f"{line} | A:- | S:s", reference_dictionary)
+        for line in ("a.go: F:a | R:x.go", "b.go: F:b | R:-", "x.go: F:x | R:-")
+    )
+    lines = index_lines(Index(Header(dictionary=reference_dictionary), tuple(entries)))
+    changes = parse_changeset("R100\ta.go\tb.go\nR100\tb.go\ta.go\nD\tx.go")
+    plan = plan_update(lines, changes)
+    # a.go's entry now sits at b.go, which is also the old path of a rename.
+    assert plan.dangling_after == (("b.go", "x.go"),)
+    assert plan.regenerate == ("b.go",)
+    assert list(apply_lines(lines, plan).rows) == ["b.go", "a.go"]
+    # A path that a rename only moves away from is still never regenerated.
+    with pytest.raises(InvariantError, match=r"plan groups overlap on \['b.go'\]"):
+        UpdatePlan(regenerate=("b.go",), rename_map={"b.go": "c.go"})
+    with pytest.raises(InvariantError, match=r"plan groups overlap on \['b.go'\]"):
+        UpdatePlan(remove=("b.go",), rename_map={"a.go": "b.go", "b.go": "a.go"})
+
+
+def test_commit_plan_carries_each_row_of_a_swap_to_its_new_path(reference_dictionary):
+    entries = tuple(
+        parse_code_entry_line(f"{path}: F:f | R:- | A:- | S:s", reference_dictionary)
+        for path in ("a.go", "b.go")
+    )
+    lines = index_lines(Index(Header(dictionary=reference_dictionary), entries))
+    plan = plan_update(lines, parse_changeset("R100\ta.go\tb.go\nR100\tb.go\ta.go"))
+    store = StalenessStore({"a.go": ("ca", "ea"), "b.go": ("cb", "eb")})
+    commit_plan(store, plan, apply_lines(lines, plan), {})
+    assert (store.get("a.go")[0], store.get("b.go")[0]) == ("cb", "ca")
 
 
 def test_apply_regenerate_with_draft(listing_index, reference_dictionary):
@@ -197,7 +232,7 @@ def test_apply_regenerate_with_draft(listing_index, reference_dictionary):
         "S:regenerated synopsis text with enough length to stay inside budgets",
         reference_dictionary,
     )
-    plan = plan_update(listing_index, parse_changeset("M\tauth.go"))
+    plan = plan_update(index_lines(listing_index), parse_changeset("M\tauth.go"))
     updated = apply_update(listing_index, plan, {"auth.go": draft})
     assert updated.entry_map()["auth.go"].s.startswith("regenerated synopsis")
     others_before = [e for e in listing_index.code_entries if e.path != "auth.go"]
@@ -211,7 +246,7 @@ def test_apply_added_path_appends(listing_index, reference_dictionary):
         "with text that stays inside the budget floor",
         reference_dictionary,
     )
-    plan = plan_update(listing_index, parse_changeset("A\tpkg/new.go"))
+    plan = plan_update(index_lines(listing_index), parse_changeset("A\tpkg/new.go"))
     updated = apply_update(listing_index, plan, {"pkg/new.go": draft})
     assert updated.code_entries[-1].path == "pkg/new.go"
     assert len(updated.code_entries) == len(listing_index.code_entries) + 1
@@ -219,16 +254,16 @@ def test_apply_added_path_appends(listing_index, reference_dictionary):
 
 def test_apply_without_draft_keeps_old_text_and_marks_pending(listing_index):
     store = StalenessStore()
-    plan = plan_update(listing_index, parse_changeset("M\tauth.go"))
+    plan = plan_update(index_lines(listing_index), parse_changeset("M\tauth.go"))
     updated = apply_update(listing_index, plan)
     assert updated == listing_index
-    commit_plan(store, plan, scan_index(serialize_index(updated)), {}, drafted=[])
+    commit_plan(store, plan, index_lines(updated), {}, drafted=[])
     assert store.get("auth.go") == ("", "")
 
 
 def test_apply_rejects_stray_draft(listing_index, reference_dictionary):
     draft = parse_code_entry_line("x.go: F:a | R:- | A:- | S:b", reference_dictionary)
-    plan = plan_update(listing_index, parse_changeset("M\tauth.go"))
+    plan = plan_update(index_lines(listing_index), parse_changeset("M\tauth.go"))
     with pytest.raises(PlanMismatch):
         apply_update(listing_index, plan, {"x.go": draft})
     with pytest.raises(PlanMismatch):
@@ -242,7 +277,7 @@ def test_apply_idempotent(listing_index, reference_dictionary):
         reference_dictionary,
     )
     changes = parse_changeset("M\tauth.go\nD\tconfig.yaml\nR100\tpkg/jwt/jwt.go\tpkg/token/jwt.go")
-    plan = plan_update(listing_index, changes)
+    plan = plan_update(index_lines(listing_index), changes)
     once = apply_update(listing_index, plan, {"auth.go": draft})
     twice = apply_update(once, plan, {"auth.go": draft})
     assert serialize_index(once) == serialize_index(twice)
@@ -260,9 +295,8 @@ def test_touch_count_property(seed):
     for path in chosen:
         entry = index.entry_map()[path]
         drafts[path] = dataclasses.replace(entry, s=entry.s + " touched")
-    plan = plan_update(
-        index, ChangeSet(tuple(ChangeRecord(ChangeStatus.MODIFIED, p) for p in chosen))
-    )
+    changes = ChangeSet(tuple(ChangeRecord(ChangeStatus.MODIFIED, p) for p in chosen))
+    plan = plan_update(index_lines(index), changes)
     updated = apply_update(index, plan, drafts)
     before = serialize_index(index).splitlines()
     after = serialize_index(updated).splitlines()
@@ -274,9 +308,9 @@ def test_touch_count_property(seed):
 @settings(max_examples=40, deadline=None)
 def test_plan_completeness_dangling_matches_e2(seed):
     # Mixed change sets: deletions, renames of referenced files, modifies of
-    # hosts that reference a renamed file, and adds. Regenerated entries are
-    # about to be replaced, so the plan reports no dangling references for
-    # them.
+    # hosts that reference a renamed file, and adds. Modified and added
+    # entries are about to be replaced, so the plan reports no dangling
+    # references for them; every host it reports is regenerated too.
     rng = random.Random(seed)
     index = make_index(rng, rng.randint(4, 20), clean_refs=True)
     paths = [entry.path for entry in index.code_entries]
@@ -297,14 +331,17 @@ def test_plan_completeness_dangling_matches_e2(seed):
         + [ChangeRecord(ChangeStatus.ADDED, f"new/add{k}.go") for k in range(rng.randint(0, 2))]
     )
     rng.shuffle(records)
-    plan = plan_update(index, ChangeSet(tuple(records)))
+    plan = plan_update(index_lines(index), ChangeSet(tuple(records)))
     updated = apply_update(index, plan)
+    drafted = (ChangeStatus.MODIFIED, ChangeStatus.ADDED)
+    replaced = {rec.path for rec in records if rec.status in drafted}
     e2 = {
         (issue.subject, issue.message.split("'")[1])
         for issue in validate_index(updated)
-        if issue.rule == "E2" and issue.subject not in plan.regenerate
+        if issue.rule == "E2" and issue.subject not in replaced
     }
     assert e2 == set(plan.dangling_after)
+    assert {host for host, _ in plan.dangling_after} <= set(plan.regenerate)
 
 
 def test_detect_stale_cases(listing_index):
@@ -312,23 +349,23 @@ def test_detect_stale_cases(listing_index):
     files = [("auth.go", "d1"), ("config.yaml", "d2")]
     for path, digest in files:
         store.set(path, digest, "e")
-    assert detect_stale(store, files, listing_index).records == ()
+    assert detect_stale(store, files, index_lines(listing_index)).records == ()
 
     changed = [("auth.go", "DIFFERENT"), ("config.yaml", "d2")]
-    records = detect_stale(store, changed, listing_index).records
+    records = detect_stale(store, changed, index_lines(listing_index)).records
     assert records == (ChangeRecord(ChangeStatus.MODIFIED, "auth.go"),)
 
     removed = [("auth.go", "d1")]
-    records = detect_stale(store, removed, listing_index).records
+    records = detect_stale(store, removed, index_lines(listing_index)).records
     assert records == (ChangeRecord(ChangeStatus.DELETED, "config.yaml"),)
 
     plus_new = files + [("brand/new.go", "d3")]
-    records = detect_stale(store, plus_new, listing_index).records
+    records = detect_stale(store, plus_new, index_lines(listing_index)).records
     assert records == (ChangeRecord(ChangeStatus.ADDED, "brand/new.go"),)
 
     # A file the store missed but the index covers is stale, not new.
     plus_indexed = files + [("org_repo.go", "d4")]
-    records = detect_stale(store, plus_indexed, listing_index).records
+    records = detect_stale(store, plus_indexed, index_lines(listing_index)).records
     assert records == (ChangeRecord(ChangeStatus.MODIFIED, "org_repo.go"),)
 
 
@@ -377,7 +414,7 @@ def test_store_commit_cycle(listing_index, reference_dictionary, tmp_path):
         store.set(entry.path, digests[entry.path], entry_digest(entry))
 
     digests["auth.go"] = "v2-auth.go"
-    changes = detect_stale(store, sorted(digests.items()), listing_index)
+    changes = detect_stale(store, sorted(digests.items()), index_lines(listing_index))
     assert changes.records == (ChangeRecord(ChangeStatus.MODIFIED, "auth.go"),)
 
     draft = parse_code_entry_line(
@@ -385,16 +422,16 @@ def test_store_commit_cycle(listing_index, reference_dictionary, tmp_path):
         "S:new content after the modification passes budget thresholds again",
         reference_dictionary,
     )
-    plan = plan_update(listing_index, changes)
+    plan = plan_update(index_lines(listing_index), changes)
     updated = apply_update(listing_index, plan, {"auth.go": draft})
-    commit_plan(store, plan, scan_index(serialize_index(updated)), digests, drafted=["auth.go"])
-    assert detect_stale(store, sorted(digests.items()), updated).records == ()
+    commit_plan(store, plan, index_lines(updated), digests, drafted=["auth.go"])
+    assert detect_stale(store, sorted(digests.items()), index_lines(updated)).records == ()
 
     # Without a draft the path stays pending: detection keeps flagging it.
-    plan2 = plan_update(updated, parse_changeset("M\tconfig.yaml"))
+    plan2 = plan_update(index_lines(updated), parse_changeset("M\tconfig.yaml"))
     updated2 = apply_update(updated, plan2)
-    commit_plan(store, plan2, scan_index(serialize_index(updated2)), digests, drafted=[])
-    records = detect_stale(store, sorted(digests.items()), updated2).records
+    commit_plan(store, plan2, index_lines(updated2), digests, drafted=[])
+    records = detect_stale(store, sorted(digests.items()), index_lines(updated2)).records
     assert records == (ChangeRecord(ChangeStatus.MODIFIED, "config.yaml"),)
 
 
@@ -622,6 +659,12 @@ def _update_cases(draw):
         if rec.status in (ChangeStatus.ADDED, ChangeStatus.MODIFIED)
         or (rec.status is ChangeStatus.RENAMED and rec.path not in paths)
     }
+    # The hosts a plan leaves dangling are regenerated too.
+    changes = ChangeSet(tuple(records.values()))
+    try:
+        regenerated.update(plan_update(index_lines(index), changes).regenerate)
+    except InvariantError:
+        pass
     named = sorted(regenerated - {"x y.go"}) + ["g"] * draw(st.integers(0, 1))
     drafts = {}
     for path in draw(st.lists(st.sampled_from(named), unique=True, max_size=4)) if named else ():
@@ -632,7 +675,7 @@ def _update_cases(draw):
             drafts[path] = CodeEntry(path, "WA9JM", DecodedTag("W", "A", 9, ("J",)), "f")
         else:
             drafts[path] = entry(path)
-    return index, ChangeSet(tuple(records.values())), drafts
+    return index, changes, drafts
 
 
 @given(_update_cases())
@@ -644,8 +687,7 @@ def test_apply_lines_matches_the_object_level_oracle(case):
     slow = scan_index(serialize_index(parse_index(_noncanonical(text))))
     assert slow.text() == fast.text() == text
 
-    plan = _outcome(lambda: plan_update(index, changes))
-    assert _outcome(lambda: plan_update(fast, changes)) == plan
+    plan = _outcome(lambda: plan_update(fast, changes))
     assert _outcome(lambda: plan_update(slow, changes)) == plan
     if not isinstance(plan, UpdatePlan):
         return
@@ -706,9 +748,9 @@ def test_apply_lines_raises_what_the_oracle_raises(listing, drafts, error):
             _entry("c.go[M]: F:c | R:a.go,b | A:- | S:third"),
         ),
     )
-    plan = plan_update(index, parse_changeset(listing))
+    plan = plan_update(index_lines(index), parse_changeset(listing))
     draft_entries = {path: _entry(line) for path, line in drafts.items()}
-    lines = scan_index(serialize_index(index))
+    lines = index_lines(index)
     assert _outcome(lambda: reference_apply_update(index, plan, draft_entries)) == error
     assert _outcome(lambda: apply_lines(lines, plan, draft_entries)) == error
     assert _outcome(lambda: apply_update(index, plan, draft_entries)) == error
@@ -719,7 +761,7 @@ def test_apply_lines_parses_only_the_touched_lines(monkeypatch):
         Header(dictionary=make_reference_dictionary()),
         tuple(_entry(f"m{i}.go: F:m | R:m{i + 1}.go | A:- | S:s") for i in range(50)),
     )
-    lines = scan_index(serialize_index(index))
+    lines = index_lines(index)
     plan = plan_update(lines, parse_changeset("R100\tm10.go\tn10.go\nD\tm20.go\nM\tm30.go"))
     parsed = []
     monkeypatch.setattr(
@@ -730,10 +772,10 @@ def test_apply_lines_parses_only_the_touched_lines(monkeypatch):
     draft = _entry("m30.go: F:new | R:- | A:- | S:s")
     updated = apply_lines(lines, plan, {"m30.go": draft})
     # The renamed line and its one rewrite host, m9.go; nothing else.
-    assert parsed == [lines.code_entries[9].line, lines.code_entries[10].line]
-    # The other 46 rows are the scanned ones, line strings and all.
-    old_rows = {id(row) for row in lines.code_entries}
-    assert sum(id(row) in old_rows for row in updated.code_entries) == 46
+    assert parsed == [lines.rows["m9.go"], lines.rows["m10.go"]]
+    # The other 46 rows are the scanned line strings themselves.
+    old_lines = {id(line) for line in lines.rows.values()}
+    assert sum(id(line) in old_lines for line in updated.rows.values()) == 46
     assert updated.text() == serialize_index(
         reference_apply_update(index, plan, {"m30.go": draft})
     )

@@ -8,9 +8,9 @@ text at a time, never the whole text. Each of their bounds is a multiple of
 the input's size, over the size of the index the parse returns.
 
 A warm ``update`` holds each store row as the text it was read as, keeps no
-digest for a file the store vouched for, and writes and hashes the new index
-a block at a time. Its bounds are multiples of the index size plus the store
-size.
+digest for a file the store vouched for, holds each index line once beside
+its path (``scan_index``), and writes and hashes the new index a block at a
+time. Its bounds are multiples of the index size plus the store size.
 
 ``scaffold`` holds one source at a time, and each file's captured module
 strings only until they are resolved, before any draft is made.
@@ -28,7 +28,7 @@ import pytest
 from conftest import make_index
 from aoci import grammar, scaffold
 from aoci.cli import run
-from aoci.grammar import parse_index, serialize_code_entry, serialize_index
+from aoci.grammar import parse_index, scan_index, serialize_code_entry, serialize_index
 
 # Measured on Python 3.11 with the input below, in multiples of its 0.22 MB:
 # the parse peaks 1.09 over the index it returns (3.53 when the decoded text
@@ -86,15 +86,32 @@ def test_streamed_commands_hold_the_index_and_one_block(argv, document, tmp_path
     assert over < COMMAND_BOUND, over
 
 
+# Measured on Python 3.11 with the index below: the rows scan_index returns
+# hold 2.06 times the text. When each row also kept a copy of its path and of
+# every reference beside its line, they held 3.23. The bound lies between.
+SCAN_BOUND = 2.6
+
+
+def test_a_scan_holds_each_line_once_beside_its_path():
+    text = serialize_index(make_index(random.Random(1), 2000, clean_refs=True))
+    scan_index(text)  # compiles the header patterns first
+    lines, held, _ = _traced(lambda: scan_index(text))
+    over = held / len(text.encode("utf-8"))
+    assert over < SCAN_BOUND, over
+    assert lines.text() == text
+
+
 # Measured with the tree below, in multiples of its index plus its store
-# (about 0.65 MB), on Python 3.10, 3.11 and 3.12: a warm update --detect peaks at
-# 3.29, 3.20 and 3.04, and update --changes at 2.99, 3.06 and 2.92. When the
-# store split every row into tuples, each file the store vouched for carried
-# a copy of its digest, and the new index was built whole and encoded for its
-# digest, they read 4.40, 4.29 and 4.08, and 3.85, 3.75 and 3.56. Each bound
-# lies between the two sets of figures.
-DETECT_BOUND = 3.7
-CHANGES_BOUND = 3.3
+# (about 0.65 MB), on Python 3.11: a warm update --detect peaks at 2.70, and
+# update --changes at 2.65. When each scanned row kept a copy of its path
+# and references (3.11), they read 3.21 and 3.05; on Python 3.10, 3.11 and
+# 3.12 they read 3.29, 3.20 and 3.04, and 2.99, 3.06 and 2.92. Before that,
+# when the store split every row into tuples, each file the store vouched
+# for carried a copy of its digest, and the new index was built whole and
+# encoded for its digest, they read 4.40, 4.29 and 4.08, and 3.85, 3.75 and
+# 3.56. Each bound lies between the figures of the last two changes.
+DETECT_BOUND = 3.0
+CHANGES_BOUND = 2.85
 _AGED_NS = 10**18  # 2001: far older than any store write
 
 

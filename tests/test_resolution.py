@@ -7,6 +7,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import index_lines
 from aoci.incremental import plan_update
 from aoci.model import ChangeRecord, ChangeSet, ChangeStatus, CodeEntry, Header, Index
 from aoci.scaffold import ScaffoldRules, scaffold_repo
@@ -152,7 +153,7 @@ def test_rename_rewrites_match_sequential_rule(data):
         old: f"n{i}/{data.draw(paths_st)}" for i, old in enumerate(old_paths)
     }
     index = Index(Header(), entries)
-    plan = plan_update(index, _renames(rename_map))
+    plan = plan_update(index_lines(index), _renames(rename_map))
     assert plan.ref_rewrites == _expected_rewrites(index, rename_map)
 
 
@@ -164,7 +165,7 @@ def test_rename_of_file_and_its_stem_namesake_first_match_wins():
         ({"x/b": "z/k", "x/b.go": "z/m.go"}, ("z/k", "z/m.go")),
         ({"x/b.go": "z/m.go", "x/b": "z/k"}, ("z/m", "z/m.go")),
     ):
-        plan = plan_update(index, _renames(rename_map))
+        plan = plan_update(index_lines(index), _renames(rename_map))
         assert plan.ref_rewrites == _expected_rewrites(index, rename_map)
         assert plan.ref_rewrites == (("y.go", "x/b", want[0]), ("y.go", "x/b.go", want[1]))
 

@@ -267,6 +267,20 @@ def test_extract_relations_binary_is_empty(tmp_path):
     assert _relations(tmp_path, "blob.go", b"\xff\xfe\x00", ["a.go"]) == []
 
 
+def test_each_go_import_line_is_captured_once(tmp_path):
+    text = (
+        'package a\n\nimport "myapp/pkg/jwt"\nimport x "myapp/model/user"\n'
+        'import (\n\t"myapp/pkg/log"\n\ty "myapp/pkg/db"\n)\n'
+    )
+    _write(tmp_path, "a.go", text)
+    (item,) = scan_repo(tmp_path, ScaffoldRules())
+    assert item.modules == ("myapp/pkg/jwt", "myapp/model/user", "myapp/pkg/log", "myapp/pkg/db")
+    repo = ["a.go", "pkg/jwt/jwt.go", "model/user/user.go", "pkg/log/log.go", "pkg/db/db.go"]
+    assert extract_relations("a.go", item.modules, RefResolver(repo)) == [
+        "pkg/jwt", "model/user", "pkg/log", "pkg/db"
+    ]
+
+
 def test_extract_relations_skips_own_package(tmp_path):
     repo = ["pkg/jwt/jwt.go", "pkg/jwt/keys.go"]
     text = 'import "myapp/pkg/jwt"\n'

@@ -10,6 +10,7 @@ reports.
 from __future__ import annotations
 
 import collections
+import contextlib
 import io
 import os
 import shutil
@@ -30,10 +31,16 @@ from hypothesis.stateful import (
     rule,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, index_lines, reference_apply_update
 from aoci import incremental, tree
 from aoci.cli import run
-from aoci.grammar import parse_index, scan_index
+from aoci.grammar import (
+    parse_code_entry_line,
+    parse_index,
+    scan_index,
+    serialize_code_entry,
+    serialize_index,
+)
 from aoci.incremental import (
     StalenessStore,
     collect_file_digests,
@@ -44,7 +51,8 @@ from aoci.incremental import (
     plan_update,
     stat_key,
 )
-from aoci.model import ChangeRecord, ChangeStatus
+from aoci.model import ChangeRecord, ChangeSet, ChangeStatus
+from aoci.validator import validate_index
 
 HEADER = (
     "#AOCI 1\n#DIM A W=Middleware\n#DIM B A=Auth\n#DIM C 9,8,7,5,3,1\n"
@@ -55,8 +63,8 @@ OWN = ["idx.aoci", "idx.aoci.lock", "store.tsv"]
 SECOND = 10**9
 
 
-def draft(path: str, note: str = "drafted") -> str:
-    return f"{path}[WA9M]: F:file {path} | R:- | A:- | S:{note}"
+def draft(path: str, note: str = "drafted", refs=()) -> str:
+    return f"{path}[WA9M]: F:file {path} | R:{','.join(refs) or '-'} | A:- | S:{note}"
 
 
 def stats(store: StalenessStore) -> dict[str, str]:
@@ -99,7 +107,8 @@ class Repo:
         """Run ``update`` from the root with ``drafts`` as entry lines.
 
         Returns the exit code and the records ``detect_stale`` reported
-        (None when it did not run).
+        (None when it did not run). The plan the run made is kept as
+        ``self.plan`` (None when it made none).
         """
         shutil.rmtree(self.drafts, ignore_errors=True)
         os.makedirs(self.drafts)
@@ -108,15 +117,22 @@ class Repo:
                 out.write(line + "\n")
         reported = []
         real = incremental.detect_stale
+        real_plan = incremental.plan_update
+        self.plan = None
 
         def recording(store, files, index):
             changes = real(store, files, index)
             reported.append(changes.records)
             return changes
 
+        def planning(index, changes):
+            self.plan = real_plan(index, changes)
+            return self.plan
+
         with pytest.MonkeyPatch.context() as patch:
             patch.chdir(self.root)
             patch.setattr(incremental, "detect_stale", recording)
+            patch.setattr(incremental, "plan_update", planning)
             code = run(
                 ["update", self.index, *args, "--store", self.store, "--drafts", self.drafts]
             )
@@ -129,6 +145,17 @@ class Repo:
         with open(self.store, encoding="utf-8") as handle:
             return StalenessStore.load(handle.read(), os.stat(self.store).st_mtime_ns)
 
+    def pending(self) -> list[str]:
+        """The store's pending paths, sorted."""
+        if not os.path.exists(self.store):
+            return []
+        store = self.load_store()
+        return sorted(path for path in store.paths() if not store.get(path)[0])
+
+    def read_index(self) -> bytes:
+        with open(self.index, "rb") as handle:
+            return handle.read()
+
     def stripped_report(self) -> tuple[ChangeRecord, ...]:
         """What ``--detect`` reports from the current store with every stat
         stripped: each file read and compared by its digest."""
@@ -139,8 +166,7 @@ class Repo:
         store = StalenessStore.load(
             "".join("\t".join(line.split("\t")[:3]) + "\n" for line in text.splitlines())
         )
-        with open(self.index, "rb") as handle:
-            index = parse_index(handle.read())
+        index = index_lines(parse_index(self.read_index()))
         return detect_stale(store, collect_file_digests(self.root, exclude_globs=OWN), index).records
 
     def opened_by(self, action):
@@ -382,6 +408,77 @@ def test_changes_with_a_store_records_the_stats_of_the_files_it_digests(tmp_path
     assert (code, reported, opened) == (0, (), collections.Counter())
 
 
+def _changes(repo: Repo, tmp_path, listing: str, drafts=()):
+    path = tmp_path / "changes.txt"
+    path.write_text(listing, encoding="utf-8")
+    return repo.update("--changes", str(path), drafts=drafts)
+
+
+def test_a_rename_keeps_a_pending_row_pending(tmp_path):
+    repo = seeded(tmp_path, ("a.go", "b.go"))
+    repo.write("a.go", b"package a, edited\n")
+    assert repo.detect() == (0, (ChangeRecord(ChangeStatus.MODIFIED, "a.go"),))
+    assert repo.pending() == ["a.go"]
+    os.rename(repo.path("a.go"), repo.path("c.go"))
+    assert _changes(repo, tmp_path, "R100\ta.go\tc.go\n")[0] == 0
+    # The entry moved, but it still describes the old bytes.
+    assert "c.go[WA9M]: F:file a.go | R:- | A:- | S:drafted" in repo.read_index().decode()
+    assert repo.pending() == ["c.go"]
+    assert repo.detect() == (0, (ChangeRecord(ChangeStatus.MODIFIED, "c.go"),))
+
+
+def test_a_deleted_reference_leaves_its_host_pending(tmp_path):
+    repo = Repo(str(tmp_path / "repo"), str(tmp_path / "drafts"))
+    for name in ("a.go", "x.go"):
+        repo.write(name, f"package {name}\n".encode())
+    assert repo.detect([draft("a.go", refs=["x.go"]), draft("x.go")])[0] == 0
+    os.remove(repo.path("x.go"))
+    assert _changes(repo, tmp_path, "D\tx.go\n") == (0, None)
+    assert repo.pending() == ["a.go"]
+    # Every later --detect reports it, until a draft for it applies.
+    assert repo.detect() == (0, (ChangeRecord(ChangeStatus.MODIFIED, "a.go"),))
+    assert repo.detect([draft("a.go", "redrafted")])[0] == 0
+    assert repo.pending() == [] and repo.detect() == (0, ())
+
+
+@pytest.mark.parametrize("mode", ["--detect", "--changes"])
+def test_a_draft_for_a_host_left_dangling_applies_at_once(tmp_path, mode):
+    repo = Repo(str(tmp_path / "repo"), str(tmp_path / "drafts"))
+    for name in ("a.go", "x.go"):
+        repo.write(name, f"package {name}\n".encode())
+    assert repo.detect([draft("a.go", refs=["x.go"]), draft("x.go")])[0] == 0
+    os.remove(repo.path("x.go"))
+    redrafted = [draft("a.go", "redrafted")]
+    if mode == "--detect":  # the store vouches for a.go, so it is not read
+        assert repo.detect(redrafted) == (0, (ChangeRecord(ChangeStatus.DELETED, "x.go"),))
+    else:
+        assert _changes(repo, tmp_path, "D\tx.go\n", redrafted) == (0, None)
+    assert repo.pending() == []
+    assert repo.load_store().get("a.go")[0] == content_digest(b"package a.go\n")
+    assert repo.detect() == (0, ())
+
+
+def test_a_swap_whose_moved_entry_dangles_leaves_that_entry_pending(tmp_path):
+    repo = Repo(str(tmp_path / "repo"), str(tmp_path / "drafts"))
+    for name in ("a.go", "b.go", "x.go"):
+        repo.write(name, f"package {name}\n".encode())
+    assert repo.detect([draft("a.go", refs=["x.go"]), draft("b.go"), draft("x.go")])[0] == 0
+    os.rename(repo.path("a.go"), repo.path("t.go"))
+    os.rename(repo.path("b.go"), repo.path("a.go"))
+    os.rename(repo.path("t.go"), repo.path("b.go"))
+    os.remove(repo.path("x.go"))
+    listing = "R100\ta.go\tb.go\nR100\tb.go\ta.go\nD\tx.go\n"
+    assert _changes(repo, tmp_path, listing) == (0, None)
+    text = repo.read_index().decode()
+    assert "b.go[WA9M]: F:file a.go | R:x.go | A:- | S:drafted" in text
+    assert "a.go[WA9M]: F:file b.go | R:- | A:- | S:drafted" in text
+    assert repo.pending() == ["b.go"]
+    assert repo.load_store().get("a.go")[0] == content_digest(b"package b.go\n")
+    assert repo.detect() == (0, (ChangeRecord(ChangeStatus.MODIFIED, "b.go"),))
+    assert repo.detect([draft("b.go", "redrafted")])[0] == 0
+    assert repo.pending() == [] and repo.detect() == (0, ())
+
+
 @pytest.mark.parametrize("index_on_stdin", [False, True], ids=["index-file", "index-stdin"])
 def test_a_file_changed_after_the_update_started_gets_no_stat(
     tmp_path, monkeypatch, capsys, index_on_stdin
@@ -569,12 +666,24 @@ def test_two_racing_updates_one_wins_and_one_reports_the_lock(tmp_path):
 NAMES = ("a.go", "b.py", "d/c.go", "d/e/f.go", "g.go")
 
 
+def canonical_draft(path: str, data: bytes) -> str:
+    """The one draft a file gets in a run of full-draft updates: a function
+    of its path and its bytes."""
+    return draft(path, f"bytes {content_digest(data)[:12]}")
+
+
 class StatCacheMachine(RuleBasedStateMachine):
-    """Edits, touches and timestamp games on a small tree between updates.
+    """Edits, touches, timestamp games and hand edits of the index on a small
+    tree, between updates by ``--detect`` and by ``--changes`` listings of
+    the edits.
 
     Each ``--detect`` must report exactly what it reports from the same
     store with every stat stripped, and a stat the store trusts must always
-    describe the bytes behind its digest.
+    describe the bytes behind its digest. After every update the index is
+    canonical and equals the object-level oracle's result, every E2 subject
+    is pending, and a second ``--detect`` reports exactly the pending paths.
+    A run of ``--detect`` updates that drafts every path they report gives
+    the index a repository that took the same edits in one update gives.
     """
 
     def __init__(self):
@@ -582,6 +691,11 @@ class StatCacheMachine(RuleBasedStateMachine):
         self.tmp = tempfile.mkdtemp(prefix="aoci-stat-cache-")
         self.repo = Repo(os.path.join(self.tmp, "repo"), os.path.join(self.tmp, "drafts"))
         self.note = 0
+        # Names whose bytes or presence changed since the last update.
+        self.dirty: set[str] = set()
+        # The index and store bytes a run of full-draft updates started
+        # from, while the index holds each file's canonical draft.
+        self.batch_start: tuple[bytes, bytes] | None = None
 
     def teardown(self):
         shutil.rmtree(self.tmp, ignore_errors=True)
@@ -590,33 +704,113 @@ class StatCacheMachine(RuleBasedStateMachine):
         return [name for name in NAMES if os.path.exists(self.repo.path(name))]
 
     def entries(self) -> set[str]:
-        with open(self.repo.index, "rb") as handle:
-            return parse_index(handle.read()).code_paths()
+        return set(parse_index(self.repo.read_index()).code_paths())
 
     def nonempty(self) -> list[str]:
         return [name for name in self.files() if os.path.getsize(self.repo.path(name))]
 
-    def drafts_for(self, data, paths) -> list[str]:
+    def planned(self, records) -> tuple[list[str], set[str]]:
+        """The paths an update of ``records`` regenerates, and the paths
+        that have an entry after it whatever drafts it gets."""
+        plan = plan_update(index_lines(parse_index(self.repo.read_index())), ChangeSet(records))
+        kept = self.entries().difference(plan.remove, plan.rename_map)
+        return list(plan.regenerate), kept.union(plan.rename_map.values())
+
+    def drafts_for(self, data, paths, kept) -> list[str]:
+        """Drafts for some of ``paths``; their references name other paths
+        that have an entry after the update."""
         paths = sorted(paths)
         some = st.sets(st.sampled_from(paths)) if paths else st.just(set())
         chosen = data.draw(st.one_of(st.just(set(paths)), some))
-        self.note += 1
-        return [draft(path, f"note {self.note}") for path in sorted(chosen)]
+        final = kept | chosen
+        drafts = []
+        for path in sorted(chosen):
+            others = sorted(final - {path})
+            refs = st.lists(st.sampled_from(others), min_size=1, max_size=2, unique=True)
+            refs = data.draw(refs) if others else []
+            self.note += 1
+            drafts.append(draft(path, f"note {self.note}", refs))
+        return drafts
+
+    def update(self, *args: str, drafts=()):
+        """Run an update, check what it leaves, and return what it reported."""
+        before = self.repo.read_index()
+        code, reported = self.repo.update(*args, drafts=drafts)
+        assert code == 0
+        self.check_splice(before, drafts)
+        self.dirty.clear()
+        # Every draft applied is stored as current. The update left nothing
+        # unreported: a second --detect finds only the pending paths, and
+        # leaves the index as it was.
+        pending = self.repo.pending()
+        assert not {line.partition("[")[0] for line in drafts}.intersection(pending)
+        before = self.repo.read_index()
+        code, again = self.repo.detect()
+        assert code == 0
+        assert sorted(record.path for record in again) == pending
+        assert self.repo.read_index() == before
+        return reported
+
+    def check_splice(self, before: bytes, drafts) -> None:
+        """The index equals the full parse, apply and serialize of the one
+        it was made from, and is in canonical form."""
+        old = parse_index(before)
+        entries = [parse_code_entry_line(line, old.header.dictionary) for line in drafts]
+        want = reference_apply_update(old, self.repo.plan, {e.path: e for e in entries})
+        assert self.repo.read_index() == serialize_index(want).encode("utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["fmt", self.repo.index, "--verify"]) == 0
+
+    def listing(self) -> str:
+        """A change listing of the edits since the last update."""
+        entries, present = self.entries(), set(self.files())
+        lines = []
+        for name in sorted(self.dirty):
+            if name not in present:
+                lines.append(f"D\t{name}\n")
+            else:
+                lines.append(f"{'M' if name in entries else 'A'}\t{name}\n")
+        return "".join(lines)
+
+    def run_changes(self, listing: str, drafts=()):
+        path = os.path.join(self.tmp, "changes.txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(listing)
+        return self.update("--changes", path, drafts=drafts)
 
     @initialize()
     def seed(self):
         for name in NAMES:
             self.repo.write(name, name.encode())
-        assert self.repo.detect([draft(name) for name in NAMES])[0] == 0
+        self.update("--detect", drafts=[canonical_draft(name, name.encode()) for name in NAMES])
+        self.start_batch()
+
+    def start_batch(self) -> None:
+        self.batch_start = (self.repo.read_index(), Path(self.repo.store).read_bytes())
 
     @rule(name=st.sampled_from(NAMES), body=st.binary(max_size=12), aged=st.booleans())
     def write_file(self, name, body, aged):
         self.repo.write(name, body, aged)
+        self.dirty.add(name)
 
     @precondition(lambda self: self.files())
     @rule(data=st.data())
     def delete_file(self, data):
-        os.remove(self.repo.path(data.draw(st.sampled_from(self.files()))))
+        name = data.draw(st.sampled_from(self.files()))
+        os.remove(self.repo.path(name))
+        self.dirty.add(name)
+
+    def referenced(self) -> list[str]:
+        index = parse_index(self.repo.read_index())
+        refs = {ref for entry in index.code_entries for ref in entry.r}
+        return [name for name in self.files() if name in refs]
+
+    @precondition(lambda self: self.referenced())
+    @rule(data=st.data())
+    def delete_a_referenced_file(self, data):
+        name = data.draw(st.sampled_from(self.referenced()))
+        os.remove(self.repo.path(name))
+        self.dirty.add(name)
 
     @precondition(lambda self: self.files() and len(self.files()) < len(NAMES))
     @rule(data=st.data())
@@ -625,6 +819,7 @@ class StatCacheMachine(RuleBasedStateMachine):
         new = data.draw(st.sampled_from([n for n in NAMES if n not in self.files()]))
         os.makedirs(os.path.dirname(self.repo.path(new)), exist_ok=True)
         os.rename(self.repo.path(old), self.repo.path(new))
+        self.dirty.update((old, new))
 
     @precondition(lambda self: self.files())
     @rule(data=st.data(), aged=st.booleans())
@@ -645,6 +840,7 @@ class StatCacheMachine(RuleBasedStateMachine):
             body = handle.read()
         self.repo.write(name, bytes(b ^ 0x20 for b in body), aged=False)
         os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        self.dirty.add(name)
 
     @precondition(lambda self: self.files() and os.path.exists(self.repo.store))
     @rule(data=st.data(), ahead=st.integers(0, 2 * SECOND))
@@ -653,48 +849,106 @@ class StatCacheMachine(RuleBasedStateMachine):
         when = os.stat(self.repo.store).st_mtime_ns + ahead
         os.utime(self.repo.path(name), ns=(when, when))
 
+    @precondition(lambda self: self.entries())
+    @rule(data=st.data(), spaced=st.booleans())
+    def hand_edit(self, data, spaced):
+        """Edit one entry's S by hand, and perhaps its spacing: the index
+        bytes no longer match the store's record, so the next update parses
+        them in full."""
+        lines = self.repo.read_index().decode("utf-8").split("\n")
+        at = data.draw(st.sampled_from([i for i, line in enumerate(lines) if "[WA9M]:" in line]))
+        self.note += 1
+        line = lines[at].rsplit("S:", 1)[0] + f"S:hand {self.note}"
+        lines[at] = line.replace(" | ", "  |  ") if spaced else line
+        with open(self.repo.index, "wb") as handle:
+            handle.write("\n".join(lines).encode("utf-8"))
+        self.batch_start = None
+
     @rule(data=st.data())
     def detect(self, data):
         expected = self.repo.stripped_report()
-        regenerate = [r.path for r in expected if r.status is not ChangeStatus.DELETED]
-        code, reported = self.repo.detect(self.drafts_for(data, regenerate))
+        regenerate, kept = self.planned(expected)
+        reported = self.update("--detect", drafts=self.drafts_for(data, regenerate, kept))
         assert reported == expected
-        assert code == 0
+        self.batch_start = None
 
     @rule(data=st.data())
     def changes(self, data):
-        entries = self.entries()
-        present = self.files()
-        modified = data.draw(st.sets(st.sampled_from(present)) if present else st.just(set()))
-        gone = sorted(entries - set(present))
-        deleted = data.draw(st.sets(st.sampled_from(gone)) if gone else st.just(set()))
-        listing = "".join(f"M\t{p}\n" for p in sorted(modified))
-        listing += "".join(f"D\t{p}\n" for p in sorted(deleted))
-        code, _ = self._run_changes(listing, self.drafts_for(data, modified))
-        assert code == 0
+        listing = self.listing()
+        regenerate, kept = self.planned(parse_changeset(listing).records)
+        self.run_changes(listing, self.drafts_for(data, regenerate, kept))
+        self.batch_start = None
 
-    @precondition(
-        lambda self: any(n in self.entries() for n in self.files())
-        and len(self.files()) < len(NAMES)
-    )
+    @precondition(lambda self: any(n in self.entries() for n in self.files()))
     @rule(data=st.data())
     def rename_with_changes(self, data):
-        entries = self.entries()
-        old = data.draw(st.sampled_from([n for n in self.files() if n in entries]))
-        free = [n for n in NAMES if n not in self.files() and n not in entries]
-        if not free:
+        entries, files = self.entries(), self.files()
+        movable = [n for n in files if n in entries and n not in self.dirty]
+        free = [n for n in NAMES if n not in files and n not in entries and n not in self.dirty]
+        if not (movable and free):
             return
-        new = data.draw(st.sampled_from(free))
+        old, new = data.draw(st.sampled_from(movable)), data.draw(st.sampled_from(free))
         os.makedirs(os.path.dirname(self.repo.path(new)), exist_ok=True)
         os.rename(self.repo.path(old), self.repo.path(new))
-        code, _ = self._run_changes(f"R100\t{old}\t{new}\n", [])
-        assert code == 0
+        listing = self.listing() + f"R100\t{old}\t{new}\n"
+        regenerate, kept = self.planned(parse_changeset(listing).records)
+        self.run_changes(listing, self.drafts_for(data, regenerate, kept))
+        self.batch_start = None
 
-    def _run_changes(self, listing, drafts):
-        path = os.path.join(self.tmp, "changes.txt")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(listing)
-        return self.repo.update("--changes", path, drafts=drafts)
+    def canonical_lines(self) -> list[str]:
+        lines = []
+        for name in self.files():
+            with open(self.repo.path(name), "rb") as handle:
+                lines.append(canonical_draft(name, handle.read()))
+        return sorted(lines)
+
+    def code_lines(self, index: bytes) -> list[str]:
+        return sorted(map(serialize_code_entry, parse_index(index).code_entries))
+
+    @rule()
+    def draft_everything(self):
+        """Redraft every file through one listing, which starts a run of
+        full-draft updates."""
+        entries, present = self.entries(), self.files()
+        listing = "".join(f"{'M' if n in entries else 'A'}\t{n}\n" for n in present)
+        listing += "".join(f"D\t{n}\n" for n in sorted(entries | self.dirty) if n not in present)
+        self.run_changes(listing, self.canonical_lines())
+        assert self.code_lines(self.repo.read_index()) == self.canonical_lines()
+        self.start_batch()
+
+    @precondition(lambda self: self.batch_start is not None)
+    @rule()
+    def detect_drafting_everything(self):
+        """Incremental equals batch: a --detect that drafts every path it
+        reports keeps one line per present file, that file's canonical
+        draft, and a shadow repository that took the same edits in one
+        update from the run's start holds the same lines."""
+        expected = self.repo.stripped_report()
+        drafts = self.canonical_drafts(self.repo, expected)
+        assert self.update("--detect", drafts=drafts) == expected
+        assert self.code_lines(self.repo.read_index()) == self.canonical_lines()
+
+        shadow = Repo(os.path.join(self.tmp, "shadow"), os.path.join(self.tmp, "shadow-drafts"))
+        try:
+            index, store = self.batch_start
+            Path(shadow.index).write_bytes(index)
+            Path(shadow.store).write_bytes(store)
+            for name in self.files():
+                shadow.write(name, Path(self.repo.path(name)).read_bytes())
+            expected = shadow.stripped_report()
+            code, reported = shadow.detect(self.canonical_drafts(shadow, expected))
+            assert (code, reported) == (0, expected)
+            assert self.code_lines(shadow.read_index()) == self.canonical_lines()
+        finally:
+            shutil.rmtree(shadow.root, ignore_errors=True)
+
+    @staticmethod
+    def canonical_drafts(repo: Repo, records) -> list[str]:
+        return [
+            canonical_draft(record.path, Path(repo.path(record.path)).read_bytes())
+            for record in records
+            if record.status is not ChangeStatus.DELETED
+        ]
 
     @invariant()
     def trusted_stats_describe_their_digests(self):
@@ -705,6 +959,15 @@ class StatCacheMachine(RuleBasedStateMachine):
             if store.unchanged(rel, os.stat(fs_path)):
                 with open(fs_path, "rb") as handle:
                     assert content_digest(handle.read()) == store.get(rel)[0], rel
+
+    @invariant()
+    def every_e2_subject_is_pending(self):
+        if not os.path.exists(self.repo.store):
+            return
+        pending = set(self.repo.pending())
+        for issue in validate_index(parse_index(self.repo.read_index())):
+            if issue.rule == "E2":
+                assert issue.subject in pending, issue
 
 
 StatCacheMachine.TestCase.settings = settings(
