@@ -41,6 +41,7 @@ from .grammar import (
     ParseError,
     decode_tag,
     decode_utf8,
+    line_refs,
     parse_code_entry_line,
     parse_header,
     parse_index,
@@ -51,7 +52,7 @@ from .grammar import (
 )
 from .metrics import TokenEstimator, index_stats, score_what, score_where, stats_records, stats_table
 from .model import CodeEntry, Index, canonical_path, is_ascii_int
-from .validator import Diagnostic, check_coverage, has_errors, validate_index
+from .validator import Diagnostic, check_coverage, has_errors, resolves_among, validate_index
 
 ESTIMATOR_ENV = "AOCI_ESTIMATOR"
 
@@ -489,22 +490,27 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
         for warning in plan.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         updated = incremental.apply_lines(index, plan, drafts)
+        # A draft whose references resolve to no entry (rule E2) applies but
+        # stays pending, like a host the plan left dangling.
+        ordered, tables = sorted(updated.rows), updated.table_names()
+        held = [(host, ref) for host in drafts for ref in line_refs(updated.rows[host])
+                if ref not in tables and not resolves_among(ref, ordered)]
+        current = drafts.keys() - {host for host, _ in held}
         if args.store:
-            # commit_plan looks up the drafted and renamed-to paths. With
-            # --changes they are digested now, so the store records their
-            # current content; files that are gone stay undigested. No
-            # exclude globs: such a file is digested even if it is the index
-            # or the store. A file the store vouched for was not read, and
-            # keeps its recorded digest.
-            wanted = [path for path in plan.regenerate if path in drafts]
-            wanted += plan.rename_map.values()
+            # commit_plan looks up the current drafts' and renamed-to paths.
+            # With --changes they are digested now, with no exclude globs (so
+            # even the index or the store); gone files stay undigested. A file
+            # the store vouched for was not read, and keeps its recorded digest.
+            wanted = [*current, *plan.rename_map.values()]
             if args.changes:
                 found = incremental.collect_file_digests(
                     os.getcwd(), [glob.escape(path) for path in wanted], store=store
                 )
+                file_digests.update((p, digest or store.get(p)[0]) for p, digest in found)
             else:  # --detect read every file with a row it did not vouch for
-                found = [(p, None) for p in wanted if p not in file_digests and store.get(p)]
-            file_digests.update((path, digest or store.get(path)[0]) for path, digest in found)
+                file_digests.update(
+                    (p, row[0]) for p in wanted if p not in file_digests and (row := store.get(p))
+                )
         # The index text is written and hashed a block at a time, never whole.
         index_hash = hashlib.sha256()
 
@@ -514,13 +520,14 @@ def _cmd_update(args: argparse.Namespace) -> ExitCode:
                 yield block
 
         _write_text(args.index, hashed(updated.blocks()))
-        pending = [path for path in plan.regenerate if path not in drafts]
-        for path in pending:
-            print(f"pending regeneration (no draft supplied): {path}", file=sys.stderr)
-        for host, ref in plan.dangling_after:
+        for path in plan.regenerate:
+            if path not in current:
+                why = "its draft left dangling" if path in drafts else "no draft supplied"
+                print(f"pending regeneration ({why}): {path}", file=sys.stderr)
+        for host, ref in (*plan.dangling_after, *held):
             print(f"warning: dangling reference after update: {host} -> {ref}", file=sys.stderr)
         if args.store:
-            incremental.commit_plan(store, plan, updated, file_digests, drafts.keys())
+            incremental.commit_plan(store, plan, updated, file_digests, current)
             store.index_digest = index_hash.hexdigest()
             _replace_file(args.store, store.lines())
     return ExitCode.OK

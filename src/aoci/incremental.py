@@ -28,15 +28,14 @@ takes the file-system clock's time when it starts, just after taking its
 lock, and records no stat whose mtime is at or after that time, because the
 file may have changed in the same clock tick after its read. So every
 stored stat is older than the store, and a later write of the store cannot
-make a racy stat trusted. Setting a row's
-digests drops its stat unless the file was read with that content digest in
-the same run. One more line,
-``\\t<index digest>\\t``, has an empty path
-field, which no file path can take: it holds the SHA-256 of the index bytes
-the last update wrote. Index bytes that match it are exactly the canonical
-text of a validated index, so an update splices the changed lines into them
-(``scan_index``, ``apply_lines``) instead of parsing every entry; any other
-bytes are parsed and validated in full first.
+make a racy stat trusted. Setting a row's digests drops its stat unless the
+file was read with that content digest in the same run. One more line,
+``\\t<index digest>\\t``, has an empty path field, which no file path can
+take: it holds the SHA-256 of the index bytes the last update wrote. Index
+bytes that match it are exactly the canonical text of a validated index, so
+an update splices the changed lines into them (``scan_index``,
+``apply_lines``) instead of parsing every entry; any other bytes are parsed
+and validated in full first.
 
 An update is one pass of each step over ``IndexLines.rows``, the map from
 each entry's path to its canonical line: ``plan_update`` reads each line's
@@ -101,6 +100,10 @@ def entry_digest(entry: CodeEntry) -> str:
     return hashlib.sha256(serialize_code_entry(entry).encode("utf-8")).hexdigest()
 
 
+def _malformed(line_no: int, message: str) -> ParseError:
+    return ParseError(line_no, 1, ParseErrorKind.MALFORMED_CHANGE, message)
+
+
 def parse_changeset(text: str) -> ChangeSet:
     """Parse the tab-separated change listing format.
 
@@ -122,21 +125,11 @@ def parse_changeset(text: str) -> ChangeSet:
         fields = line.split("\t")
         status_text = fields[0].strip()
         if not _STATUS_RE.match(status_text):
-            raise ParseError(
-                line_no,
-                1,
-                ParseErrorKind.MALFORMED_CHANGE,
-                f"unknown change status {status_text!r}",
-            )
+            raise _malformed(line_no, f"unknown change status {status_text!r}")
         status = ChangeStatus(status_text[0])
         want = 3 if status is ChangeStatus.RENAMED else 2
         if len(fields) != want or any(not f.strip() for f in fields[1:]):
-            raise ParseError(
-                line_no,
-                1,
-                ParseErrorKind.MALFORMED_CHANGE,
-                f"{status.name} record needs {want - 1} path field(s)",
-            )
+            raise _malformed(line_no, f"{status.name} record needs {want - 1} path field(s)")
         try:
             record = ChangeRecord(
                 status=status,
@@ -144,21 +137,14 @@ def parse_changeset(text: str) -> ChangeSet:
                 new_path=fields[2].strip() if want == 3 else None,
             )
         except (InvalidPath, InvariantError) as exc:
-            raise ParseError(line_no, 1, ParseErrorKind.MALFORMED_CHANGE, str(exc)) from exc
+            raise _malformed(line_no, str(exc)) from exc
         if record.path in seen:
-            raise ParseError(
-                line_no,
-                1,
-                ParseErrorKind.MALFORMED_CHANGE,
-                f"duplicate path in change set: {record.path}",
-            )
+            raise _malformed(line_no, f"duplicate path in change set: {record.path}")
         seen.add(record.path)
         target = record.new_path or record.path
         if target in targets:
-            raise ParseError(
+            raise _malformed(
                 line_no,
-                1,
-                ParseErrorKind.MALFORMED_CHANGE,
                 f"{target} is also named on line {targets[target]}, "
                 "and a rename target may appear in no other record",
             )
@@ -534,10 +520,10 @@ def apply_lines(
 
     rows: dict[str, str] = {}
     remove_set = set(plan.remove)
-    # Paths two rows end on, and how many rows were held when the first one
-    # was met: that error is raised after the rename and draft errors.
+    # Paths two rows end on, in order, and how many rows were held when the
+    # first was met: that error is raised after the rename and draft errors.
+    duplicates: dict[str, None] = {}
     duplicate_at: int | None = None
-    duplicates: list[str] = []
     for path, line in lines.rows.items():
         if path in remove_set:
             continue
@@ -552,12 +538,12 @@ def apply_lines(
             if new_path is not None:
                 entry = dataclasses.replace(entry, path=new_path)
             path, line = entry.path, serialize_code_entry(entry)
-        if path in rows:
-            if duplicate_at is None:
-                duplicate_at = len(rows)
-            duplicates.append(path)
-        else:
+        if path not in rows:
             rows[path] = line
+            continue
+        if not duplicates:
+            duplicate_at = len(rows)
+        duplicates[path] = None
 
     drafted: dict[str, CodeEntry] = {}
     for path in plan.regenerate:
@@ -571,20 +557,15 @@ def apply_lines(
 
     # The Index invariants, in row order. Kept rows, renamed or not, keep a
     # tag that fits the dictionary, so only drafts need the tag check; a
-    # draft on a path two rows end on sits at the later row.
-    bad_tags: dict[str, InvariantError] = {}
-    for path, entry in drafted.items():
-        try:
-            check_entry_tag(entry, dictionary)
-        except InvariantError as exc:
-            bad_tags[path] = exc
-    if duplicates or bad_tags:
-        for at, path in enumerate(rows):
-            if at == duplicate_at:
-                break
-            if path in bad_tags and path not in duplicates:
-                raise bad_tags[path]
-        raise InvariantError(f"duplicate code entry path: {duplicates[0]}")
+    # draft on any path two rows end on sits at its later row, which comes
+    # at or after the first duplicate.
+    for at, path in enumerate(rows):
+        if at == duplicate_at:
+            break
+        if path in drafted and path not in duplicates:
+            check_entry_tag(drafted[path], dictionary)
+    if duplicates:
+        raise InvariantError(f"duplicate code entry path: {next(iter(duplicates))}")
     return dataclasses.replace(lines, rows=rows)
 
 
@@ -643,9 +624,9 @@ def collect_file_digests(
     """Digest every file ``tree.walk_files`` lists, for ``update``.
 
     The walk is the one ``scaffold_repo`` drafts from, so detection sees the
-    same files; ``update --changes`` passes the listed paths, escaped, as
-    include globs. One ``(path, digest)`` pair comes out per walked file, in
-    walk order. With a ``store``, a file ``tree.stat_read`` finds
+    same files; ``update --changes`` passes the paths ``commit_plan`` stores
+    afresh (drafted and renamed-to), escaped, as include globs. One ``(path,
+    digest)`` pair comes out per walked file, in walk order. With a ``store``, a file ``tree.stat_read`` finds
     ``store.unchanged`` is not read, and its digest is None: the store
     vouches that the file still holds the bytes of its recorded digest, and
     no copy of that digest is made. Every other file is read once, from the

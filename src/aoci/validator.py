@@ -202,6 +202,14 @@ def resolves_to(ref: str, path: str) -> bool:
     return path == ref or path.startswith(ref + "/") or sans_ext(path) == ref
 
 
+def resolves_among(ref: str, ordered: list[str]) -> bool:
+    """``RefResolver(ordered).resolves(ref)`` for sorted paths, with no set
+    built: every path ``ref`` denotes sorts in ``[ref, ref + "0")``."""
+    lo = bisect_left(ordered, ref)
+    hi = bisect_left(ordered, ref + "0", lo)
+    return any(resolves_to(ref, path) for path in ordered[lo:hi])
+
+
 def validate_index(
     index: Index, estimator: TokenEstimator = DEFAULT_ESTIMATOR
 ) -> list[Diagnostic]:

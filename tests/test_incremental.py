@@ -756,6 +756,30 @@ def test_apply_lines_raises_what_the_oracle_raises(listing, drafts, error):
     assert _outcome(lambda: apply_update(index, plan, draft_entries)) == error
 
 
+def test_a_draft_on_a_later_duplicate_path_is_not_checked_before_the_duplicate():
+    # Two renames end on kept paths. a.go dangles, so it is regenerated, and
+    # its draft sits at the second a.go row, after the first duplicate b.go:
+    # the oracle raises the duplicate, not the draft's tag.
+    index = Index(
+        Header(dictionary=make_reference_dictionary()),
+        tuple(
+            _entry(line)
+            for line in (
+                "a.go: F:a | R:x.go | A:- | S:-",
+                "b.go: F:b | R:- | A:- | S:-",
+                "c.go: F:c | R:- | A:- | S:-",
+                "d.go: F:d | R:- | A:- | S:-",
+            )
+        ),
+    )
+    plan = plan_update(index_lines(index), parse_changeset("R100\tc.go\tb.go\nR100\td.go\ta.go"))
+    assert "a.go" in plan.regenerate
+    drafts = {"a.go": CodeEntry("a.go", "WA9JM", DecodedTag("W", "A", 9, ("J",)), "f")}
+    error = (InvariantError, "duplicate code entry path: b.go")
+    assert _outcome(lambda: reference_apply_update(index, plan, drafts)) == error
+    assert _outcome(lambda: apply_lines(index_lines(index), plan, drafts)) == error
+
+
 def test_apply_lines_parses_only_the_touched_lines(monkeypatch):
     index = Index(
         Header(dictionary=make_reference_dictionary()),

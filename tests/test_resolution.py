@@ -11,7 +11,7 @@ from conftest import index_lines
 from aoci.incremental import plan_update
 from aoci.model import ChangeRecord, ChangeSet, ChangeStatus, CodeEntry, Header, Index
 from aoci.scaffold import ScaffoldRules, scaffold_repo
-from aoci.validator import RefResolver, resolves_to, sans_ext
+from aoci.validator import RefResolver, resolves_among, resolves_to, sans_ext
 
 # Segments chosen to sit next to each other around "." and "/" in sort
 # order: "a" < "a-" < "a." < "a.b" < "a/" < "a0".
@@ -61,7 +61,7 @@ def test_targets_equal_brute_force(data):
         ref = data.draw(_refs_for(paths))
         want = sorted(path for path in paths if resolves_to(ref, path))
         assert resolver.targets(ref) == want, ref
-        assert resolver.resolves(ref) == bool(want), ref
+        assert resolver.resolves(ref) == resolves_among(ref, sorted(paths)) == bool(want), ref
 
 
 def _per_slash_key_sets(paths) -> tuple[set[str], set[str]]:

@@ -479,6 +479,29 @@ def test_a_swap_whose_moved_entry_dangles_leaves_that_entry_pending(tmp_path):
     assert repo.pending() == [] and repo.detect() == (0, ())
 
 
+@pytest.mark.parametrize("mode", ["--detect", "--changes"])
+def test_a_draft_whose_reference_resolves_to_no_entry_stays_pending(tmp_path, mode, capsys):
+    repo = Repo(str(tmp_path / "repo"), str(tmp_path / "drafts"))
+    for name in ("a.go", "x.go"):
+        repo.write(name, f"package {name}\n".encode())
+    assert repo.detect([draft("a.go"), draft("x.go")])[0] == 0
+    repo.write("a.go", b"package a, edited\n")
+    repo.write("n.go", b"package n\n")
+    # n.go gets no draft, so it has no entry for a.go's draft to name.
+    dangling = [draft("a.go", "redrafted", refs=["n.go", "x"])]
+    if mode == "--detect":
+        assert repo.detect(dangling)[0] == 0
+    else:
+        assert _changes(repo, tmp_path, "M\ta.go\nA\tn.go\n", dangling)[0] == 0
+    err = capsys.readouterr().err
+    assert "pending regeneration (its draft left dangling): a.go" in err
+    assert "warning: dangling reference after update: a.go -> n.go" in err
+    assert "S:redrafted" in repo.read_index().decode()
+    assert repo.pending() == ["a.go", "n.go"]
+    assert repo.detect([draft("a.go", "again", refs=["x"]), draft("n.go")])[0] == 0
+    assert repo.pending() == [] and repo.detect() == (0, ())
+
+
 @pytest.mark.parametrize("index_on_stdin", [False, True], ids=["index-file", "index-stdin"])
 def test_a_file_changed_after_the_update_started_gets_no_stat(
     tmp_path, monkeypatch, capsys, index_on_stdin
@@ -675,15 +698,17 @@ def canonical_draft(path: str, data: bytes) -> str:
 class StatCacheMachine(RuleBasedStateMachine):
     """Edits, touches, timestamp games and hand edits of the index on a small
     tree, between updates by ``--detect`` and by ``--changes`` listings of
-    the edits.
+    the edits, whole or partial.
 
     Each ``--detect`` must report exactly what it reports from the same
     store with every stat stripped, and a stat the store trusts must always
     describe the bytes behind its digest. After every update the index is
     canonical and equals the object-level oracle's result, every E2 subject
-    is pending, and a second ``--detect`` reports exactly the pending paths.
-    A run of ``--detect`` updates that drafts every path they report gives
-    the index a repository that took the same edits in one update gives.
+    is pending, a draft of a present file is pending exactly when its host
+    is an E2 subject, and a second ``--detect`` reports exactly the pending
+    paths and the edits a partial listing left out. A run of ``--detect``
+    updates that drafts every path they report gives the index a repository
+    that took the same edits in one update gives.
     """
 
     def __init__(self):
@@ -709,46 +734,66 @@ class StatCacheMachine(RuleBasedStateMachine):
     def nonempty(self) -> list[str]:
         return [name for name in self.files() if os.path.getsize(self.repo.path(name))]
 
-    def planned(self, records) -> tuple[list[str], set[str]]:
-        """The paths an update of ``records`` regenerates, and the paths
-        that have an entry after it whatever drafts it gets."""
-        plan = plan_update(index_lines(parse_index(self.repo.read_index())), ChangeSet(records))
-        kept = self.entries().difference(plan.remove, plan.rename_map)
-        return list(plan.regenerate), kept.union(plan.rename_map.values())
+    def planned(self, records) -> list[str]:
+        """The paths an update of ``records`` regenerates."""
+        index = index_lines(parse_index(self.repo.read_index()))
+        return list(plan_update(index, ChangeSet(records)).regenerate)
 
-    def drafts_for(self, data, paths, kept) -> list[str]:
-        """Drafts for some of ``paths``; their references name other paths
-        that have an entry after the update."""
+    def drafts_for(self, data, paths) -> list[str]:
+        """Drafts for some of ``paths``; each names up to two other names,
+        which may have no entry after the update."""
         paths = sorted(paths)
         some = st.sets(st.sampled_from(paths)) if paths else st.just(set())
-        chosen = data.draw(st.one_of(st.just(set(paths)), some))
-        final = kept | chosen
         drafts = []
-        for path in sorted(chosen):
-            others = sorted(final - {path})
-            refs = st.lists(st.sampled_from(others), min_size=1, max_size=2, unique=True)
-            refs = data.draw(refs) if others else []
+        for path in sorted(data.draw(st.one_of(st.just(set(paths)), some))):
+            others = st.sampled_from([name for name in NAMES if name != path])
             self.note += 1
+            refs = data.draw(st.lists(others, max_size=2, unique=True))
             drafts.append(draft(path, f"note {self.note}", refs))
         return drafts
 
-    def update(self, *args: str, drafts=()):
-        """Run an update, check what it leaves, and return what it reported."""
+    def e2_subjects(self) -> set[str]:
+        issues = validate_index(parse_index(self.repo.read_index()))
+        return {issue.subject for issue in issues if issue.rule == "E2"}
+
+    def in_step(self, store: StalenessStore, name: str) -> bool:
+        """Whether the store's row for ``name`` describes the file as it is."""
+        row = store.get(name)
+        if not os.path.exists(self.repo.path(name)):
+            return row is None
+        return row is not None and row[0] == content_digest(Path(self.repo.path(name)).read_bytes())
+
+    def update(self, *args: str, drafts=(), unlisted=()):
+        """Run an update, check what it leaves, and return what it reported.
+
+        ``unlisted`` names the edits a ``--changes`` listing left out.
+        """
         before = self.repo.read_index()
         code, reported = self.repo.update(*args, drafts=drafts)
         assert code == 0
         self.check_splice(before, drafts)
         self.dirty.clear()
-        # Every draft applied is stored as current. The update left nothing
-        # unreported: a second --detect finds only the pending paths, and
-        # leaves the index as it was.
+        # A regenerated path without a draft is pending. A draft of a present
+        # file is stored as current unless one of its references resolves to
+        # no entry; then it is pending.
         pending = self.repo.pending()
-        assert not {line.partition("[")[0] for line in drafts}.intersection(pending)
+        drafted = {line.partition("[")[0] for line in drafts}
+        assert set(self.repo.plan.regenerate) - drafted <= set(pending)
+        drafted.intersection_update(self.files())
+        assert drafted.intersection(pending) == drafted & self.e2_subjects()
+        # The update left nothing unreported: a second --detect finds only
+        # the pending paths and the edits the listing left out, as a read of
+        # every file would, and leaves the index alone unless it applies one
+        # of those edits.
+        store = self.repo.load_store()
+        left_out = {name for name in unlisted if not self.in_step(store, name)}
+        expected = self.repo.stripped_report()
         before = self.repo.read_index()
         code, again = self.repo.detect()
-        assert code == 0
-        assert sorted(record.path for record in again) == pending
-        assert self.repo.read_index() == before
+        assert (code, again) == (0, expected)
+        assert sorted(record.path for record in again) == sorted(left_out.union(pending))
+        self.check_splice(before, ())
+        assert self.repo.read_index() == before or left_out
         return reported
 
     def check_splice(self, before: bytes, drafts) -> None:
@@ -761,22 +806,29 @@ class StatCacheMachine(RuleBasedStateMachine):
         with contextlib.redirect_stdout(io.StringIO()):
             assert run(["fmt", self.repo.index, "--verify"]) == 0
 
-    def listing(self) -> str:
-        """A change listing of the edits since the last update."""
+    def listing(self, listed) -> str:
+        """A change listing of the ``listed`` names as they stand."""
         entries, present = self.entries(), set(self.files())
         lines = []
-        for name in sorted(self.dirty):
+        for name in sorted(listed):
             if name not in present:
                 lines.append(f"D\t{name}\n")
             else:
                 lines.append(f"{'M' if name in entries else 'A'}\t{name}\n")
         return "".join(lines)
 
-    def run_changes(self, listing: str, drafts=()):
+    def partial(self, data, skip=()) -> set[str]:
+        """A drawn subset of the edits since the last update, and drawn
+        untouched files that are not in ``skip``."""
+        dirty, clean = sorted(self.dirty), sorted(set(self.files()) - self.dirty - set(skip))
+        listed = data.draw(st.sets(st.sampled_from(dirty))) if dirty else set()
+        return listed | (data.draw(st.sets(st.sampled_from(clean))) if clean else set())
+
+    def run_changes(self, listing: str, drafts=(), unlisted=()):
         path = os.path.join(self.tmp, "changes.txt")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(listing)
-        return self.update("--changes", path, drafts=drafts)
+        return self.update("--changes", path, drafts=drafts, unlisted=unlisted)
 
     @initialize()
     def seed(self):
@@ -867,16 +919,28 @@ class StatCacheMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def detect(self, data):
         expected = self.repo.stripped_report()
-        regenerate, kept = self.planned(expected)
-        reported = self.update("--detect", drafts=self.drafts_for(data, regenerate, kept))
-        assert reported == expected
+        drafts = self.drafts_for(data, self.planned(expected))
+        assert self.update("--detect", drafts=drafts) == expected
         self.batch_start = None
 
     @rule(data=st.data())
     def changes(self, data):
-        listing = self.listing()
-        regenerate, kept = self.planned(parse_changeset(listing).records)
-        self.run_changes(listing, self.drafts_for(data, regenerate, kept))
+        """List exactly the edits since the last update."""
+        listing = self.listing(self.dirty)
+        drafts = self.drafts_for(data, self.planned(parse_changeset(listing).records))
+        self.run_changes(listing, drafts)
+        self.batch_start = None
+
+    @precondition(lambda self: self.files() or self.dirty)
+    @rule(data=st.data())
+    def partial_changes(self, data):
+        """List some of the edits, and files that did not change: an M
+        without a draft leaves its file pending, and an edit left out is
+        for the next --detect to find."""
+        listed = self.partial(data)
+        listing = self.listing(listed)
+        drafts = self.drafts_for(data, self.planned(parse_changeset(listing).records))
+        self.run_changes(listing, drafts, self.dirty - listed)
         self.batch_start = None
 
     @precondition(lambda self: any(n in self.entries() for n in self.files()))
@@ -890,9 +954,10 @@ class StatCacheMachine(RuleBasedStateMachine):
         old, new = data.draw(st.sampled_from(movable)), data.draw(st.sampled_from(free))
         os.makedirs(os.path.dirname(self.repo.path(new)), exist_ok=True)
         os.rename(self.repo.path(old), self.repo.path(new))
-        listing = self.listing() + f"R100\t{old}\t{new}\n"
-        regenerate, kept = self.planned(parse_changeset(listing).records)
-        self.run_changes(listing, self.drafts_for(data, regenerate, kept))
+        listed = self.partial(data, skip=(old, new))
+        listing = self.listing(listed) + f"R100\t{old}\t{new}\n"
+        drafts = self.drafts_for(data, self.planned(parse_changeset(listing).records))
+        self.run_changes(listing, drafts, self.dirty - listed)
         self.batch_start = None
 
     def canonical_lines(self) -> list[str]:
