@@ -39,8 +39,15 @@ first match wins. ``[size]`` maps ascending line-count upper bounds to the
 four scale codes, with ``*`` for the rest. ``[importance]`` maps fan-in rank
 fractions, top first, to importance digits, ``*`` for the remainder. Each
 ``[imports.<ext>]`` line names a regex with one capture group that extracts
-an imported module string from a line. Extensions without a section fall
+an imported module string from a line; the extension is not case-sensitive,
+so ``[imports.GO]`` serves ``.go`` files. Extensions without a section fall
 back to the built-in Go, Python, and JavaScript/TypeScript patterns.
+
+An extension's patterns are joined into one regex that every line is
+searched with first, so a pattern must mean the same inside the join. Three
+kinds are refused: a global inline flag such as ``(?i)`` (write the scoped
+``(?i:...)`` form instead), a named group, and a backreference or
+conditional (``\\1``, ``(?P=name)``, ``(?(1)...)``).
 """
 
 from __future__ import annotations
@@ -100,6 +107,45 @@ for _alias in (".ts", ".jsx", ".tsx", ".mjs"):
     DEFAULT_IMPORT_PATTERNS[_alias] = DEFAULT_IMPORT_PATTERNS[".js"]
 
 
+# Read left to right with each backslash escape taken whole, so the escaped
+# paren of \(?( opens no conditional and \\1 is no backreference. The named
+# alternatives are what a join would change: a global inline flag such as
+# (?u), which re.Pattern.flags does not show, and a numbered or named
+# backreference or a conditional.
+_UNJOINABLE = re.compile(
+    r"\\(?:(?P<backref>[1-9])|.)|(?P<flag>\(\?[aiLmsux]+\))|(?P<refers>\(\?(?:P=|\())",
+    re.DOTALL,
+)
+
+
+def _check_import_pattern(pattern: re.Pattern[str]) -> None:
+    """Admit an import pattern that captures a module string and keeps its
+    meaning when joined with others as ``(?:p1)|(?:p2)``.
+
+    The source scan is conservative: a ``\\1``, ``(?(`` or ``(?i)`` inside a
+    character class is refused too.
+
+    Raises:
+        ConfigError: saying why the pattern is refused.
+    """
+    if pattern.groups < 1:
+        raise ConfigError("regex needs one capture group")
+    found = {
+        name
+        for match in _UNJOINABLE.finditer(pattern.pattern)
+        for name, text in match.groupdict().items()
+        if text
+    }
+    if pattern.flags & ~re.UNICODE or "flag" in found:
+        raise ConfigError(
+            f"regex {pattern.pattern!r} sets a global flag; scope it as (?i:...) instead"
+        )
+    if pattern.groupindex:
+        raise ConfigError(f"regex {pattern.pattern!r} has a named group; use (...) instead")
+    if found & {"backref", "refers"}:
+        raise ConfigError(f"regex {pattern.pattern!r} has a backreference or conditional")
+
+
 @dataclass(frozen=True)
 class ScaffoldRules:
     """Path classification rules plus sizing and importance mappings."""
@@ -112,6 +158,9 @@ class ScaffoldRules:
     import_patterns: Mapping[str, tuple[re.Pattern[str], ...]] = field(
         default_factory=lambda: dict(DEFAULT_IMPORT_PATTERNS)
     )
+    # Per extension, its patterns joined as (?:p1)|(?:p2)|...: a line the
+    # gate's search misses is a line no pattern can match.
+    _gates: dict[str, re.Pattern[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.size_cutoffs[0] < self.size_cutoffs[1] < self.size_cutoffs[2]):
@@ -126,6 +175,18 @@ class ScaffoldRules:
             raise ConfigError("importance quantiles must end at 1.0")
         if digits != sorted(digits, reverse=True):
             raise ConfigError("importance digits must decrease with the quantile rank")
+        for ext, patterns in self.import_patterns.items():
+            for pattern in patterns:
+                try:
+                    _check_import_pattern(pattern)
+                except ConfigError as exc:
+                    raise ConfigError(f"[imports{ext}] {exc}") from None
+        gates = {
+            ext: re.compile("|".join(f"(?:{pattern.pattern})" for pattern in patterns))
+            for ext, patterns in self.import_patterns.items()
+            if patterns
+        }
+        object.__setattr__(self, "_gates", gates)
 
     def layer_for(self, path: str) -> tuple[str, str] | None:
         for pattern, code in self.layer_rules:
@@ -153,6 +214,9 @@ class ScaffoldRules:
 
     def patterns_for(self, ext: str) -> tuple[re.Pattern[str], ...]:
         return self.import_patterns.get(ext, ())
+
+    def gate_for(self, ext: str) -> re.Pattern[str] | None:
+        return self._gates.get(ext)
 
 
 def parse_rules_file(text: str) -> ScaffoldRules:
@@ -196,13 +260,14 @@ def parse_rules_file(text: str) -> ScaffoldRules:
         elif section == "importance":
             importance_lines.append((lhs, rhs))
         else:
-            ext = "." + section.removeprefix("imports.").lstrip(".")
+            ext = "." + section.removeprefix("imports.").lstrip(".").lower()
             try:
                 pattern = re.compile(rhs)
+                _check_import_pattern(pattern)
             except re.error as exc:
                 raise ConfigError(f"rules line {line_no}: bad regex: {exc}") from exc
-            if pattern.groups < 1:
-                raise ConfigError(f"rules line {line_no}: regex needs one capture group")
+            except ConfigError as exc:
+                raise ConfigError(f"rules line {line_no}: {exc}") from None
             imports.setdefault(ext, []).append(pattern)
 
     cutoffs, codes = _build_size(size_lines)
@@ -316,15 +381,18 @@ def scan_repo(
     one_copy: dict[str, str] = {}  # most module strings recur across files
     for rel, fs_path, _, data in stat_read(walk_files(root, include_globs, exclude_globs)):
         ext = os.path.splitext(fs_path)[1].lower()
-        modules = _captures(data, rules.patterns_for(ext), one_copy)
+        modules = _captures(data, rules.gate_for(ext), rules.patterns_for(ext), one_copy)
         files.append(ScannedFile(rel, len(data.splitlines()), ext, fs_path, modules))
     return files
 
 
 def _captures(
-    data: bytes, patterns: tuple[re.Pattern[str], ...], one_copy: dict[str, str]
+    data: bytes,
+    gate: re.Pattern[str] | None,
+    patterns: tuple[re.Pattern[str], ...],
+    one_copy: dict[str, str],
 ) -> tuple[str, ...]:
-    if not patterns:
+    if gate is None:
         return ()
     try:
         text = decode_utf8(data)
@@ -332,7 +400,7 @@ def _captures(
         return ()
     return tuple(
         one_copy.setdefault(module, module)
-        for line in text.split("\n")
+        for line in filter(gate.search, text.split("\n"))
         for pattern in patterns
         for match in pattern.finditer(line)
         if (module := match.group(1))  # a group that took no part in the match is None

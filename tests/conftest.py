@@ -451,3 +451,17 @@ def reference_walk(root: Path, include, exclude) -> list[tuple[str, bytes, str]]
                 continue
             out.append((rel, data, filename))
     return sorted(out)
+
+
+def reference_captures(text: str, patterns) -> tuple[str, ...]:
+    """The module strings ``patterns`` capture in ``text``, found the slow
+    way: every pattern's ``finditer`` on every line, in line and pattern
+    order, a group that took no part in a match naming nothing. This is
+    the ungated loop ``scaffold._captures`` must agree with."""
+    return tuple(
+        module
+        for line in text.split("\n")
+        for pattern in patterns
+        for match in pattern.finditer(line)
+        if (module := match.group(1))
+    )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import builtins
 import os
 import random
+import re
 import sys
 from collections import Counter
 from fnmatch import fnmatchcase
@@ -14,13 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import UNREADABLE, WALK_GLOB_SETS, make_walk_tree, reference_walk
+from conftest import (
+    UNREADABLE,
+    WALK_GLOB_SETS,
+    make_walk_tree,
+    reference_captures,
+    reference_walk,
+)
 from aoci.cli import run
 from aoci.errors import ConfigError
-from aoci.grammar import decode_tag, serialize_index
+from aoci.grammar import decode_tag, decode_utf8, serialize_index
 from aoci.scaffold import (
     DEFAULT_IMPORT_PATTERNS,
     ScaffoldRules,
+    _captures,
     dictionary_from_rules,
     draft_entry,
     emit_prompt_pack,
@@ -107,6 +115,17 @@ def test_parse_rules_file_sections(rules):
     assert rules.importance_for(0.95) == 1
 
 
+# Import patterns a join (?:p1)|(?:p2) would change, and why each is refused.
+UNJOINABLE = {
+    "global-flag": (r"(?i)^import (\w+)", "global flag"),
+    "global-flag-unicode": (r"(?u)^import (\w+)", "global flag"),
+    "named-group": (r"^import (?P<module>\w+)", "named group"),
+    "backreference": (r"""^(["'])(\w+)\1""", "backreference"),
+    "named-backreference": (r"""^(?P<q>["'])(\w+)(?P=q)""", "named group"),
+    "conditional": (r"^import (<)?(\w+)(?(1)>)", "conditional"),
+}
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -116,11 +135,110 @@ def test_parse_rules_file_sections(rules):
         "no section = here\n",
         "[layer]\nmissing equals\n",
         "[imports.go]\nnogroup = ^import$\n",
+        *(
+            pytest.param(f"[layer]\n* = W\n\n[imports.go]\nq = {pattern}\n", id=kind)
+            for kind, (pattern, _) in UNJOINABLE.items()
+        ),
     ],
 )
 def test_parse_rules_file_rejects(bad):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as refused:
         parse_rules_file(bad)
+    if "[imports." in bad:  # an import pattern is refused on its own line, the last
+        assert str(refused.value).startswith(f"rules line {bad.count(chr(10))}: ")
+
+
+@pytest.mark.parametrize("kind", UNJOINABLE)
+def test_scaffold_rules_refuse_an_import_pattern_a_join_would_change(kind):
+    pattern, reason = UNJOINABLE[kind]
+    with pytest.raises(ConfigError, match=rf"^\[imports\.go\] regex .*{reason}"):
+        ScaffoldRules(import_patterns={".go": (re.compile(pattern),)})
+
+
+def test_a_flag_passed_to_compile_is_refused_like_an_inline_one():
+    with pytest.raises(ConfigError, match="global flag"):
+        ScaffoldRules(import_patterns={".go": (re.compile(r"^import (\w+)", re.IGNORECASE),)})
+
+
+@pytest.mark.parametrize("pattern", [r"\\1(\w+)", r"\(?(\w+)", r"(?i:x)(\w+)", r"(?-i:x)(\w+)"])
+def test_an_escaped_backslash_or_paren_or_a_scoped_flag_is_admitted(pattern):
+    ScaffoldRules(import_patterns={".go": (re.compile(pattern),)})
+
+
+def test_a_scoped_flag_is_admitted_and_applies_to_its_group(tmp_path):
+    rules = parse_rules_file('[imports.go]\nq = (?i:^import) "(\\w+)"\n')
+    _write(tmp_path, "a.go", 'IMPORT "x"\nimport "y"\nImport z\n')
+    assert [item.modules for item in scan_repo(tmp_path, rules)] == [("x", "y")]
+
+
+def test_an_imports_section_extension_is_not_case_sensitive(tmp_path):
+    rules = parse_rules_file("[imports.GO]\nq = ^package (\\w+)\n")
+    _write(tmp_path, "a.go", 'package a\nimport "b"\n')
+    assert [item.modules for item in scan_repo(tmp_path, rules)] == [("a",)]
+
+
+# Lines built from the phrases of import statements and their near misses,
+# with the carriage returns, byte order marks, blank lines and non-ASCII
+# text that real files hold.
+_DEFAULT_IMPORT_LINE = st.lists(
+    st.sampled_from(
+        [
+            "import ", "imports ", "importx", "from ", "fro ", "export {a} ", "export ", "require(",
+            "require (", "requir(", "package ", "x ", '"a/b"', "'./c'", '"é"', "..", ")", "{", " ",
+            "\t", "\r", "\ufeff", "名",
+        ]
+    ),
+    max_size=6,
+).map("".join)
+_DEFAULT_IMPORT_TEXT = st.lists(_DEFAULT_IMPORT_LINE, max_size=8).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_DEFAULT_IMPORT_TEXT, ext=st.sampled_from(sorted(DEFAULT_IMPORT_PATTERNS)))
+def test_gated_matching_agrees_with_every_line_and_pattern_on_the_defaults(text, ext):
+    rules = ScaffoldRules()
+    patterns = rules.patterns_for(ext)
+    data = text.encode("utf-8")
+    expected = reference_captures(decode_utf8(data), patterns)
+    assert _captures(data, rules.gate_for(ext), patterns, {}) == expected
+
+
+# Admitted user patterns: anchored and not, a top-level |, scoped flags, and
+# an alternative whose group takes no part in the match (|^package).
+_USER_PATTERN = st.builds(
+    lambda head, group, tail: "".join(head) + group + "".join(tail),
+    st.lists(
+        st.sampled_from(
+            [
+                "^", "\\s*", "import ", "(?i:import) ", "from ", "(?!import\\b)", "require\\(",
+                "['\"]", "x|",
+            ]
+        ),
+        max_size=3,
+    ),
+    st.sampled_from(["(\\w+)", "([\\w./]+)", "(\\w*)", '"(\\w+)"', "(?i:(x+))", "(a)?"]),
+    st.lists(
+        st.sampled_from(["$", "\\b", "['\"]", "\\s*$", "|^package", "|(y)", "|"]), max_size=2
+    ),
+)
+_USER_TEXT = st.lists(
+    st.sampled_from(
+        [
+            "import ", "IMPORT ", "Import ", "from ", "package", "require(", '"', "'", " ", "x", "X",
+            "y", "ab", ".", "/", "\n", "\r", "é",
+        ]
+    ),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sources=st.lists(_USER_PATTERN, min_size=1, max_size=4), text=_USER_TEXT)
+def test_gated_matching_agrees_with_every_line_and_pattern_on_user_patterns(sources, text):
+    patterns = tuple(re.compile(source) for source in sources)
+    rules = ScaffoldRules(import_patterns={".x": patterns})
+    expected = reference_captures(text, patterns)
+    assert _captures(text.encode("utf-8"), rules.gate_for(".x"), patterns, {}) == expected
 
 
 def test_an_import_group_that_takes_no_part_in_a_match_names_no_import(tmp_path):
